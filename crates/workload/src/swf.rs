@@ -66,16 +66,28 @@ pub enum SwfError {
     },
 }
 
-impl std::fmt::Display for SwfError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl SwfError {
+    /// 1-based line number.
+    fn line(&self) -> usize {
         match self {
-            SwfError::TooFewFields { line, found } => {
-                write!(f, "line {line}: expected 18 fields, found {found}")
-            }
-            SwfError::BadField { line, field, token } => {
-                write!(f, "line {line}, field {field}: cannot parse {token:?}")
+            SwfError::TooFewFields { line, .. } | SwfError::BadField { line, .. } => *line,
+        }
+    }
+
+    /// What went wrong, without the line number.
+    fn detail(&self) -> String {
+        match self {
+            SwfError::TooFewFields { found, .. } => format!("expected 18 fields, found {found}"),
+            SwfError::BadField { field, token, .. } => {
+                format!("field {field}: cannot parse {token:?}")
             }
         }
+    }
+}
+
+impl std::fmt::Display for SwfError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "line {}: {}", self.line(), self.detail())
     }
 }
 
@@ -83,13 +95,7 @@ impl std::error::Error for SwfError {}
 
 impl From<SwfError> for SourceError {
     fn from(e: SwfError) -> Self {
-        let line = match e {
-            SwfError::TooFewFields { line, .. } | SwfError::BadField { line, .. } => line,
-        };
-        SourceError {
-            line: Some(line),
-            message: e.to_string(),
-        }
+        SourceError::at_line(e.line(), e.detail())
     }
 }
 
@@ -506,6 +512,27 @@ mod tests {
         let streamed = crate::source::collect_source(&mut src).unwrap();
         assert_eq!(streamed, materialized);
         assert_eq!(streamed.jobs()[0].submit, 90.0);
+    }
+
+    #[test]
+    fn streamed_swf_names_a_malformed_line_once() {
+        let catalog = AppCatalog::trinity();
+        let good = "1 0 -1 600 32 -1 -1 32 900 -1 1 0 -1 0 -1 -1 -1 -1\n";
+        for (bad, detail) in [
+            ("2 10 -1 600\n", "expected 18 fields, found 4"),
+            (
+                "2 x -1 600 32 -1 -1 32 900 -1 1 0 -1 0 -1 -1 -1 -1\n",
+                "field 2: cannot parse \"x\"",
+            ),
+        ] {
+            let text = format!("; header\n{good}{bad}");
+            let mut src = SwfSource::new(text.as_bytes(), &catalog, SwfImportOptions::default());
+            let err = crate::source::collect_source(&mut src).unwrap_err();
+            assert_eq!(err.line, Some(3));
+            let shown = err.to_string();
+            assert_eq!(shown.matches("line 3").count(), 1, "{shown}");
+            assert_eq!(shown, format!("line 3: {detail}"));
+        }
     }
 
     #[test]
