@@ -140,6 +140,9 @@ pub fn plan_shared(
     if !job.share_eligible || !pairing.sharing_enabled() {
         return None;
     }
+    // The same sampled span as the optimized path's, over the same unit:
+    // one whole evaluation.
+    let _pairing_span = ctx.telemetry.and_then(|t| t.sample_pairing());
     let k = job.nodes as usize;
     // Compatible partial nodes, best predicted pairs first. The whole
     // stack on a node must be acceptable, not just each resident in
@@ -153,8 +156,6 @@ pub fn plan_shared(
             let node = ctx.cluster.node(n)?;
             // A query is one candidate partial node evaluated against the
             // pairing policy; a hit is one that survives every filter.
-            // The span times the full candidate evaluation.
-            let _pairing_span = ctx.telemetry.map(|t| t.time_pairing());
             if let Some(t) = ctx.telemetry {
                 t.pairing_queries.inc();
             }

@@ -12,7 +12,11 @@
 //!
 //! Telemetry is strictly opt-in: [`crate::sim::run`] carries no telemetry
 //! and pays only an `Option` check per instrumentation site, so the
-//! benchmark hot path is unchanged when it is off.
+//! benchmark hot path is unchanged when it is off. When it is on, the
+//! schedulers take the same code path as a plain run — memo, bound exits
+//! and all — and the counters report what that path did. The measured
+//! cost (`telemetry.overhead_x` in `perfbench/`, seed 3) is 1.04–1.09×
+//! across the benchmark workloads; see the README "Telemetry" section.
 
 use nodeshare_cluster::Cluster;
 use nodeshare_obs::{exponential_buckets, Counter, Gauge, Histogram, MetricsRegistry, SpanTimer};
@@ -39,6 +43,20 @@ pub struct SchedTelemetry {
     pub pairing_queries: Counter,
     /// Pairing queries that accepted the candidate node.
     pub pairing_hits: Counter,
+    /// Shared-placement evaluations: whole scans of the partial nodes for
+    /// one candidate. Every [`PAIRING_SPAN_SAMPLE`]-th is timed.
+    pub pairing_evaluations: Counter,
+    /// Shared-placement attempts answered by the per-pass failure memo
+    /// without evaluating anything.
+    pub memo_hits: Counter,
+    /// Shared-placement attempts rejected by the exact upper bound on
+    /// assemblable nodes without evaluating anything.
+    pub bound_exits: Counter,
+    /// Backfill passes that skipped the candidate scan because no idle
+    /// node and no shareable lane existed.
+    pub early_exit_passes: Counter,
+    /// Backfill candidates those early-exit passes did not examine.
+    pub candidates_skipped: Counter,
     /// Completed-job records digested by learning wrappers.
     pub learning_updates: Counter,
     /// Wall-clock time of one placement scan (the Planner/backfill pass
@@ -47,10 +65,16 @@ pub struct SchedTelemetry {
     /// Wall-clock time of one Conservative timeline-maintenance pass
     /// (rebuilding or splicing the reservation profile).
     pub phase_timeline_seconds: Histogram,
-    /// Wall-clock time of one pairing-compatibility lookup (candidate
-    /// vs. resident stack).
+    /// Wall-clock time of one shared-placement evaluation, sampled 1 in
+    /// [`PAIRING_SPAN_SAMPLE`] (see [`SchedTelemetry::sample_pairing`]).
     pub phase_pairing_seconds: Histogram,
 }
+
+/// One shared-placement evaluation in this many carries a pairing-lookup
+/// span. Timing every evaluation would cost two clock reads each on the
+/// scheduler's hottest loop; the sample is deterministic (chosen by the
+/// evaluation counter), so span counts are reproducible.
+pub const PAIRING_SPAN_SAMPLE: u64 = 64;
 
 impl SchedTelemetry {
     fn new(registry: &MetricsRegistry) -> Self {
@@ -94,6 +118,26 @@ impl SchedTelemetry {
                 "sched_pairing_hits_total",
                 "Pairing queries that accepted the candidate placement.",
             ),
+            pairing_evaluations: registry.counter(
+                "sched_pairing_evaluations_total",
+                "Shared-placement evaluations (one scan of the partial nodes per candidate).",
+            ),
+            memo_hits: registry.counter(
+                "sched_shared_memo_hits_total",
+                "Shared-placement attempts answered by the per-pass failure memo.",
+            ),
+            bound_exits: registry.counter(
+                "sched_shared_bound_exits_total",
+                "Shared-placement attempts rejected by the exact node-count bound.",
+            ),
+            early_exit_passes: registry.counter(
+                "sched_backfill_early_exit_passes_total",
+                "Backfill passes that skipped the scan: no idle node, no shareable lane.",
+            ),
+            candidates_skipped: registry.counter(
+                "sched_backfill_candidates_skipped_total",
+                "Backfill candidates not examined because their pass exited early.",
+            ),
             learning_updates: registry.counter(
                 "sched_learning_updates_total",
                 "Completed-job records digested by estimate-learning wrappers.",
@@ -105,20 +149,23 @@ impl SchedTelemetry {
     /// elapsed seconds into the placement-scan phase histogram when
     /// dropped). Policies call this only when a telemetry sink is
     /// attached, so the untelemetered hot path stays unchanged.
-    pub fn time_placement(&self) -> SpanTimer {
+    pub fn time_placement(&self) -> SpanTimer<'_> {
         SpanTimer::new(&self.phase_placement_seconds)
     }
 
     /// Times one timeline-maintenance pass (RAII, see
     /// [`SchedTelemetry::time_placement`]).
-    pub fn time_timeline(&self) -> SpanTimer {
+    pub fn time_timeline(&self) -> SpanTimer<'_> {
         SpanTimer::new(&self.phase_timeline_seconds)
     }
 
-    /// Times one pairing-compatibility lookup (RAII, see
-    /// [`SchedTelemetry::time_placement`]).
-    pub fn time_pairing(&self) -> SpanTimer {
-        SpanTimer::new(&self.phase_pairing_seconds)
+    /// Counts one shared-placement evaluation and, for every
+    /// [`PAIRING_SPAN_SAMPLE`]-th (the first included), times it into the
+    /// pairing-lookup phase histogram. After `n` evaluations the
+    /// histogram holds exactly `⌈n / PAIRING_SPAN_SAMPLE⌉` spans.
+    pub fn sample_pairing(&self) -> Option<SpanTimer<'_>> {
+        (self.pairing_evaluations.fetch_inc() % PAIRING_SPAN_SAMPLE == 0)
+            .then(|| SpanTimer::new(&self.phase_pairing_seconds))
     }
 
     /// Pairing hit rate so far (hits / queries; 0 when no queries).
@@ -421,10 +468,20 @@ impl SimTelemetry {
         event_queue: usize,
         cluster: &Cluster,
     ) {
-        let snap = cluster.occupancy_snapshot();
+        // O(1) counters, not `occupancy_snapshot` (which allocates one
+        // occupant list per occupied node); debug builds check they agree.
+        let (busy_cores, shared) = cluster.occupancy_counts();
         let total = cluster.node_count() as u64;
-        let occupied = snap.per_node.len() as u64;
+        let occupied = busy_cores / u64::from(cluster.spec().node.cores());
         let idle = cluster.idle_count() as u64;
+        let utilization = busy_cores as f64 / cluster.spec().total_cores() as f64;
+        debug_assert!({
+            let snap = cluster.occupancy_snapshot();
+            snap.per_node.len() as u64 == occupied
+                && snap.shared_nodes == shared
+                && snap.busy_cores == busy_cores
+                && cluster.core_utilization().to_bits() == utilization.to_bits()
+        });
         let stats = cluster.alloc_stats();
         let sample = TelemetrySample {
             t,
@@ -434,11 +491,11 @@ impl SimTelemetry {
             event_queue: event_queue as u64,
             nodes_total: total,
             nodes_occupied: occupied,
-            nodes_shared: snap.shared_nodes as u64,
+            nodes_shared: shared as u64,
             nodes_idle: idle,
             nodes_unavailable: total - occupied - idle,
-            busy_cores: snap.busy_cores,
-            utilization: cluster.core_utilization(),
+            busy_cores,
+            utilization,
             decisions: self.sched.decisions.get(),
             starts_exclusive: self.starts_exclusive.get(),
             starts_shared: self.starts_shared.get(),
@@ -471,7 +528,7 @@ impl SimTelemetry {
     }
 
     /// Times a scope into one of the engine latency histograms.
-    pub(crate) fn time(hist: &Histogram) -> SpanTimer {
+    pub(crate) fn time(hist: &Histogram) -> SpanTimer<'_> {
         SpanTimer::new(hist)
     }
 
@@ -566,6 +623,11 @@ mod tests {
             "# TYPE sim_nodes_occupied gauge",
             "# TYPE sim_jobs_started_total counter",
             "# TYPE sched_pairing_queries_total counter",
+            "# TYPE sched_pairing_evaluations_total counter",
+            "# TYPE sched_shared_memo_hits_total counter",
+            "# TYPE sched_shared_bound_exits_total counter",
+            "# TYPE sched_backfill_early_exit_passes_total counter",
+            "# TYPE sched_backfill_candidates_skipped_total counter",
             "# TYPE sched_phase_duration_seconds histogram",
         ] {
             assert!(text.contains(family), "missing {family} in:\n{text}");
@@ -579,6 +641,19 @@ mod tests {
         t.sched.pairing_queries.add(4);
         t.sched.pairing_hits.add(3);
         assert!((t.sched.pairing_hit_rate() - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn pairing_spans_sample_one_evaluation_in_64() {
+        let t = SimTelemetry::new(1.0);
+        for n in 1..=130u64 {
+            drop(t.sched.sample_pairing());
+            assert_eq!(
+                t.sched.phase_pairing_seconds.count(),
+                n.div_ceil(PAIRING_SPAN_SAMPLE)
+            );
+        }
+        assert_eq!(t.sched.pairing_evaluations.get(), 130);
     }
 
     #[test]

@@ -56,6 +56,13 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Adds one and returns the value before the increment (one atomic
+    /// operation — for deterministic 1-in-N sampling keyed on the count).
+    #[inline]
+    pub fn fetch_inc(&self) -> u64 {
+        self.0.fetch_add(1, Ordering::Relaxed)
+    }
+
     /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {

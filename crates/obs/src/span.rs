@@ -7,17 +7,20 @@ use std::time::Instant;
 /// An RAII guard that observes its own lifetime (in seconds) into a
 /// histogram when dropped. Create one with [`SpanTimer::new`] or the
 /// [`crate::span!`] macro.
+///
+/// The timer borrows its histogram rather than cloning the handle, so
+/// starting and ending a span touches no reference count.
 #[derive(Debug)]
-pub struct SpanTimer {
-    hist: Histogram,
+pub struct SpanTimer<'a> {
+    hist: &'a Histogram,
     start: Instant,
 }
 
-impl SpanTimer {
+impl<'a> SpanTimer<'a> {
     /// Starts timing into `hist`.
-    pub fn new(hist: &Histogram) -> SpanTimer {
+    pub fn new(hist: &'a Histogram) -> SpanTimer<'a> {
         SpanTimer {
-            hist: hist.clone(),
+            hist,
             start: Instant::now(),
         }
     }
@@ -28,7 +31,7 @@ impl SpanTimer {
     }
 }
 
-impl Drop for SpanTimer {
+impl Drop for SpanTimer<'_> {
     fn drop(&mut self) {
         self.hist.observe(self.start.elapsed().as_secs_f64());
     }
