@@ -44,6 +44,8 @@ pub mod view;
 pub use audit::{AuditSummary, Auditor, Violation};
 pub use events::{Event, EventQueue, QueueBackend};
 pub use faults::{FailureModel, MaintenanceWindow};
+/// The application id in [`TraceEvent::Submitted`], for trace readers.
+pub use nodeshare_perf::AppId;
 pub use outcome::SimOutcome;
 pub use progress::RunningJob;
 pub use sim::{

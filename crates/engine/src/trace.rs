@@ -135,6 +135,16 @@ pub enum DownCause {
     Drained,
 }
 
+impl DownCause {
+    /// Short label for traces and reports.
+    pub fn label(&self) -> &'static str {
+        match self {
+            DownCause::Failed => "failed",
+            DownCause::Drained => "drained",
+        }
+    }
+}
+
 /// One recorded engine event.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TraceEvent {
@@ -402,11 +412,13 @@ fn json_event(out: &mut String, e: &TraceEvent) {
             for (i, n) in nodes.iter().enumerate() {
                 let _ = write!(out, "{}{}", if i > 0 { "," } else { "" }, n.0);
             }
-            let _ = write!(
-                out,
-                "],\"reason\":\"{}\",\"idle_before\":{idle_before}",
-                reason.label()
-            );
+            let _ = write!(out, "],\"reason\":\"{}\"", reason.label());
+            let _ = match reason {
+                StartReason::Backfilled { ahead } => write!(out, ",\"ahead\":{ahead}"),
+                StartReason::CoScheduled { occupied } => write!(out, ",\"occupied\":{occupied}"),
+                StartReason::HeadOfQueue | StartReason::Unspecified => Ok(()),
+            };
+            let _ = write!(out, ",\"idle_before\":{idle_before}");
             if let Some((head, head_nodes)) = head_waiting {
                 let _ = write!(
                     out,
@@ -466,10 +478,7 @@ fn json_event(out: &mut String, e: &TraceEvent) {
                 out,
                 "{{\"type\":\"node_down\",\"t\":{time},\"node\":{},\"cause\":\"{}\"}}",
                 node.0,
-                match cause {
-                    DownCause::Failed => "failed",
-                    DownCause::Drained => "drained",
-                }
+                cause.label()
             );
         }
         TraceEvent::NodeUp { time, node } => {

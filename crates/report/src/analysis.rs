@@ -1,4 +1,4 @@
-//! Derived analytics over a decoded trace.
+//! Derived analytics over a decision trace.
 //!
 //! [`Analysis::from_trace`] folds the flat event list into per-job
 //! lifecycle spans (submit → start(s) → finish, with queue-wait and the
@@ -9,7 +9,8 @@
 //! engine's own records, so a report built from a JSON file on disk can
 //! be trusted like one built in-process.
 
-use crate::model::{ReportEvent, TraceData};
+use nodeshare_cluster::ShareMode;
+use nodeshare_engine::{DecisionTrace, TraceEvent};
 use nodeshare_metrics::{percentile_sorted, StepSeries, Summary};
 use std::collections::BTreeMap;
 
@@ -92,13 +93,17 @@ pub struct Analysis {
 }
 
 impl Analysis {
-    /// Folds a decoded trace into spans and timelines.
-    pub fn from_trace(data: &TraceData) -> Analysis {
+    /// Folds a decision trace into spans and timelines.
+    pub fn from_trace(trace: &DecisionTrace) -> Analysis {
         let mut spans: BTreeMap<u64, JobSpan> = BTreeMap::new();
         let mut busy_cores = StepSeries::new();
         let mut shared_nodes = StepSeries::new();
         let mut queue_depth = StepSeries::new();
         let mut depth: i64 = 0;
+        // The timelines need non-decreasing times; a trace may step back
+        // within the recorder's 1e-9 s slack, so they follow a clock that
+        // never does.
+        let mut now = f64::NEG_INFINITY;
 
         fn span(spans: &mut BTreeMap<u64, JobSpan>, job: u64, t: f64) -> &mut JobSpan {
             spans.entry(job).or_insert_with(|| JobSpan {
@@ -115,69 +120,63 @@ impl Analysis {
             })
         }
 
-        for e in &data.events {
+        for e in trace.events() {
+            let t = e.time();
+            now = now.max(t);
             match e {
-                ReportEvent::Submitted {
-                    t,
-                    job,
-                    app,
-                    nodes,
-                    walltime: _,
-                    share: _,
-                    malleable: _,
+                TraceEvent::Submitted {
+                    job, app, nodes, ..
                 } => {
-                    let s = span(&mut spans, *job, *t);
-                    s.submit = *t;
-                    s.app = *app;
+                    let s = span(&mut spans, job.0, t);
+                    s.submit = t;
+                    s.app = u64::from(app.0);
                     s.nodes_requested = *nodes;
                     depth += 1;
-                    queue_depth.record(*t, depth as f64);
+                    queue_depth.record(now, depth as f64);
                 }
-                ReportEvent::Rejected { t, job } => {
-                    span(&mut spans, *job, *t).rejected = true;
+                TraceEvent::Rejected { job, .. } => {
+                    span(&mut spans, job.0, t).rejected = true;
                     depth -= 1;
-                    queue_depth.record(*t, depth as f64);
+                    queue_depth.record(now, depth as f64);
                 }
-                ReportEvent::Started {
-                    t,
+                TraceEvent::Started {
                     job,
-                    shared,
+                    mode,
                     nodes,
                     reason,
-                    idle_before: _,
-                    partners: _,
+                    ..
                 } => {
-                    span(&mut spans, *job, *t).starts.push(StartRecord {
-                        t: *t,
-                        shared: *shared,
-                        reason: reason.clone(),
-                        nodes: nodes.clone(),
+                    span(&mut spans, job.0, t).starts.push(StartRecord {
+                        t,
+                        shared: *mode == ShareMode::Shared,
+                        reason: reason.label().to_string(),
+                        nodes: nodes.iter().map(|n| u64::from(n.0)).collect(),
                     });
                     depth -= 1;
-                    queue_depth.record(*t, depth as f64);
+                    queue_depth.record(now, depth as f64);
                 }
-                ReportEvent::Finished { t, job, killed } => {
-                    let s = span(&mut spans, *job, *t);
-                    s.finish = Some(*t);
+                TraceEvent::Finished { job, killed, .. } => {
+                    let s = span(&mut spans, job.0, t);
+                    s.finish = Some(t);
                     s.killed = *killed;
                 }
-                ReportEvent::Requeued { t, job, node: _ } => {
-                    span(&mut spans, *job, *t).requeues += 1;
+                TraceEvent::Requeued { job, .. } => {
+                    span(&mut spans, job.0, t).requeues += 1;
                     depth += 1;
-                    queue_depth.record(*t, depth as f64);
+                    queue_depth.record(now, depth as f64);
                 }
-                ReportEvent::Reshape { t, job, .. } => {
-                    span(&mut spans, *job, *t).reshapes += 1;
+                TraceEvent::Reshape { job, .. } => {
+                    span(&mut spans, job.0, t).reshapes += 1;
                 }
-                ReportEvent::Occupancy {
-                    t,
+                TraceEvent::Occupancy {
                     busy_cores: bc,
                     shared_nodes: sn,
+                    ..
                 } => {
-                    busy_cores.record(*t, *bc as f64);
-                    shared_nodes.record(*t, *sn as f64);
+                    busy_cores.record(now, *bc as f64);
+                    shared_nodes.record(now, *sn as f64);
                 }
-                ReportEvent::NodeDown { .. } | ReportEvent::NodeUp { .. } => {}
+                TraceEvent::NodeDown { .. } | TraceEvent::NodeUp { .. } => {}
             }
         }
 
@@ -186,7 +185,7 @@ impl Analysis {
             busy_cores,
             shared_nodes,
             queue_depth,
-            end_time: data.end_time(),
+            end_time: trace.events().last().map_or(0.0, TraceEvent::time),
         }
     }
 
@@ -330,10 +329,10 @@ impl Analysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::TraceData;
+    use crate::model::parse_trace;
 
-    fn trace() -> TraceData {
-        TraceData::parse_json(
+    fn trace() -> DecisionTrace {
+        parse_trace(
             r#"{"events":[
               {"type":"submitted","t":0,"job":1,"app":0,"nodes":1,"walltime":100,"share":true},
               {"type":"submitted","t":1,"job":2,"app":1,"nodes":2,"walltime":100,"share":true},
@@ -343,7 +342,7 @@ mod tests {
                "reason":"head-of-queue","idle_before":2,"partners":[]},
               {"type":"occupancy","t":2,"busy_cores":4,"shared_nodes":0},
               {"type":"started","t":3,"job":2,"mode":"shared","nodes":[0,1],
-               "reason":"co-scheduled","idle_before":1,"partners":[{"node":0,"job":1}]},
+               "reason":"co-scheduled","occupied":1,"idle_before":1,"partners":[{"node":0,"job":1}]},
               {"type":"occupancy","t":3,"busy_cores":12,"shared_nodes":1},
               {"type":"finished","t":10,"job":1,"killed":false},
               {"type":"occupancy","t":10,"busy_cores":8,"shared_nodes":0},
@@ -408,7 +407,7 @@ mod tests {
     #[test]
     fn requeues_reset_the_wait_clock() {
         let a = Analysis::from_trace(
-            &TraceData::parse_json(
+            &parse_trace(
                 r#"{"events":[
                   {"type":"submitted","t":0,"job":1,"app":0,"nodes":1,"walltime":50,"share":false},
                   {"type":"started","t":0,"job":1,"mode":"exclusive","nodes":[0],
@@ -433,7 +432,7 @@ mod tests {
 
     #[test]
     fn empty_trace_yields_zeroes() {
-        let a = Analysis::from_trace(&TraceData::default());
+        let a = Analysis::from_trace(&DecisionTrace::new());
         assert_eq!(a.makespan(), 0.0);
         assert_eq!(a.busy_core_seconds(), 0.0);
         assert_eq!(a.utilization(16), 0.0);

@@ -6,8 +6,13 @@
 //! so this module supplies the matching hand-rolled reader: a small
 //! recursive-descent parser over the JSON grammar, sufficient for the
 //! analytics in this crate and for the exporter's own schema tests.
+//! Every error names the byte offset where parsing stopped.
 
 use std::collections::BTreeMap;
+
+/// Deepest array/object nesting the reader accepts. The trace and
+/// Perfetto schemas nest at most 5 deep.
+pub const MAX_DEPTH: usize = 64;
 
 /// One parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -30,16 +35,19 @@ pub enum JsonValue {
 impl JsonValue {
     /// Parses a complete JSON document.
     ///
-    /// Trailing non-whitespace after the top-level value is an error.
+    /// Trailing non-whitespace after the top-level value is an error, as
+    /// is nesting deeper than [`MAX_DEPTH`] or a number outside the
+    /// finite `f64` range.
     pub fn parse(text: &str) -> Result<JsonValue, String> {
         let mut p = Parser {
-            bytes: text.as_bytes(),
+            text,
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.text.len() {
             return Err(format!("trailing data at byte {}", p.pos));
         }
         Ok(v)
@@ -62,10 +70,13 @@ impl JsonValue {
     }
 
     /// The numeric value as an unsigned integer, if this is a
-    /// non-negative whole number.
+    /// non-negative whole number below 2^53 (beyond that the `f64` may
+    /// already have rounded the integer the text spelled).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            JsonValue::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            JsonValue::Number(n)
+                if *n >= 0.0 && n.fract() == 0.0 && *n < 9_007_199_254_740_992.0 =>
+            {
                 Some(*n as u64)
             }
             _ => None,
@@ -98,13 +109,14 @@ impl JsonValue {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = self.text.as_bytes().get(self.pos) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
                 self.pos += 1;
             } else {
@@ -114,7 +126,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -128,8 +140,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -139,8 +151,25 @@ impl Parser<'_> {
         }
     }
 
+    /// Parses an object or array one nesting level down.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
+    }
+
     fn literal(&mut self, word: &str, v: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -200,11 +229,12 @@ impl Parser<'_> {
     }
 
     fn string(&mut self) -> Result<String, String> {
+        let start = self.pos;
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
             match self.peek() {
-                None => return Err("unterminated string".into()),
+                None => return Err(format!("unterminated string at byte {start}")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
@@ -221,15 +251,9 @@ impl Parser<'_> {
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
+                            let bad = || format!("bad \\u escape at byte {}", self.pos);
+                            let hex = self.text.get(self.pos + 1..self.pos + 5).ok_or_else(bad)?;
+                            let code = u32::from_str_radix(hex, 16).map_err(|_| bad())?;
                             // Surrogate pairs are not produced by any
                             // writer in this workspace; map them to the
                             // replacement character rather than erroring.
@@ -242,9 +266,11 @@ impl Parser<'_> {
                 }
                 Some(_) => {
                     // Consume one UTF-8 code point.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8")?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| format!("bad string at byte {}", self.pos))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -264,10 +290,12 @@ impl Parser<'_> {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| "bad number")?;
-        text.parse::<f64>()
-            .map(JsonValue::Number)
-            .map_err(|_| format!("bad number '{text}' at byte {start}"))
+        let text = &self.text[start..self.pos];
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(JsonValue::Number(n)),
+            Ok(_) => Err(format!("number '{text}' out of range at byte {start}")),
+            Err(_) => Err(format!("bad number '{text}' at byte {start}")),
+        }
     }
 }
 
@@ -328,6 +356,33 @@ mod tests {
         assert!(JsonValue::parse("[1,]").is_err());
         assert!(JsonValue::parse("{\"a\":1} extra").is_err());
         assert!(JsonValue::parse("nul").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_errors_instead_of_overflowing_the_stack() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let err = format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}");
+        assert_eq!(JsonValue::parse(&nested(100_000)), Err(err));
+        // The limit itself is accepted, one more level is not.
+        assert!(JsonValue::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(JsonValue::parse(&format!("{{\"a\":{}}}", nested(MAX_DEPTH))).is_err());
+    }
+
+    #[test]
+    fn integers_past_two_to_the_53_are_not_u64() {
+        // 2^53 + 1 parses to 2^53; neither is trusted as an integer.
+        let as_u64 = |text: &str| JsonValue::parse(text).expect("parses").as_u64();
+        assert_eq!(as_u64("9007199254740991"), Some(9_007_199_254_740_991));
+        assert_eq!(as_u64("9007199254740992"), None);
+        assert_eq!(as_u64("9007199254740993"), None);
+    }
+
+    #[test]
+    fn every_error_names_a_byte_offset() {
+        for bad in ["1e999", "\"abc", "[\"\\u12\"]", "{\"a\" 1}", ""] {
+            let err = JsonValue::parse(bad).expect_err(bad);
+            assert!(err.contains(" at byte "), "{bad:?}: {err}");
+        }
     }
 
     #[test]

@@ -2,13 +2,14 @@
 #![deny(rust_2018_idioms)]
 //! # nodeshare-report
 //!
-//! Trace analytics and reporting: turns a [`nodeshare_engine::DecisionTrace`]
-//! (live, or its JSON form from disk) into first-class observability
-//! artifacts —
+//! Trace analytics and reporting: turns a
+//! [`nodeshare_engine::DecisionTrace`] — live from `run_traced`, or read
+//! back from its JSON form on disk — into first-class observability
+//! artifacts. Both roads yield the engine's own type, so a report built
+//! from a file equals one built in-process.
 //!
-//! * [`model`] — the decoded event list ([`TraceData`]), buildable from
-//!   an in-process trace or parsed back from `DecisionTrace::to_json`
-//!   output;
+//! * [`model`] — [`parse_trace`], the exact inverse of
+//!   [`nodeshare_engine::DecisionTrace::to_json`];
 //! * [`analysis`] — per-job lifecycle spans and exact step-function
 //!   timelines ([`Analysis`]), with aggregates defined identically to
 //!   [`nodeshare_metrics::CampaignMetrics`] (the differential suite
@@ -32,7 +33,7 @@ pub mod summary;
 
 pub use analysis::{Analysis, JobSpan, StartRecord};
 pub use json::JsonValue;
-pub use model::{ReportEvent, TraceData};
+pub use model::parse_trace;
 pub use summary::ReportOptions;
 
 /// A fully derived report: analysis plus both export formats.
@@ -47,10 +48,10 @@ pub struct Report {
 }
 
 impl Report {
-    /// Builds the report from a decoded trace.
-    pub fn build(data: &TraceData, opts: &ReportOptions) -> Report {
-        let analysis = Analysis::from_trace(data);
-        let perfetto_json = perfetto::render(data);
+    /// Builds the report from a decision trace.
+    pub fn from_trace(trace: &nodeshare_engine::DecisionTrace, opts: &ReportOptions) -> Report {
+        let analysis = Analysis::from_trace(trace);
+        let perfetto_json = perfetto::render(trace);
         let markdown = summary::render_markdown(&analysis, opts);
         Report {
             analysis,
@@ -59,14 +60,9 @@ impl Report {
         }
     }
 
-    /// Builds the report from a live in-process trace.
-    pub fn from_trace(trace: &nodeshare_engine::DecisionTrace, opts: &ReportOptions) -> Report {
-        Report::build(&TraceData::from_trace(trace), opts)
-    }
-
     /// Builds the report from trace JSON
     /// (`nodeshare audit --trace` / campaign `trace.json` output).
     pub fn from_json(text: &str, opts: &ReportOptions) -> Result<Report, String> {
-        Ok(Report::build(&TraceData::parse_json(text)?, opts))
+        Ok(Report::from_trace(&parse_trace(text)?, opts))
     }
 }

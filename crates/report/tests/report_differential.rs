@@ -14,7 +14,7 @@ use nodeshare_cluster::ClusterSpec;
 use nodeshare_core::StrategyConfig;
 use nodeshare_engine::{run_traced, SimConfig};
 use nodeshare_perf::{AppCatalog, CoRunTruth, ContentionModel};
-use nodeshare_report::{JsonValue, Report, ReportOptions, TraceData};
+use nodeshare_report::{parse_trace, JsonValue, Report, ReportOptions};
 use nodeshare_workload::{ArrivalProcess, Workload, WorkloadSpec};
 
 fn saturated_workload(catalog: &AppCatalog, seed: u64, n_jobs: usize) -> Workload {
@@ -144,13 +144,12 @@ fn json_and_in_process_reports_are_identical() {
     let mut sched = cfg.build(&catalog, &model);
     let (_, trace) = run_traced(&workload, &matrix, sched.as_mut(), &config);
 
-    let live = TraceData::from_trace(&trace);
-    let parsed = TraceData::parse_json(&trace.to_json()).expect("trace JSON parses");
-    assert_eq!(live, parsed);
+    let parsed = parse_trace(&trace.to_json()).expect("trace JSON parses");
+    assert_eq!(trace, parsed);
 
     let opts = ReportOptions::default();
-    let from_live = Report::build(&live, &opts);
-    let from_json = Report::build(&parsed, &opts);
+    let from_live = Report::from_trace(&trace, &opts);
+    let from_json = Report::from_trace(&parsed, &opts);
     assert_eq!(from_live.perfetto_json, from_json.perfetto_json);
     assert_eq!(from_live.markdown, from_json.markdown);
 }
