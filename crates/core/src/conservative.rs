@@ -13,7 +13,9 @@
 //! * the optimized path plans against an incrementally maintained
 //!   [`ReservationTimeline`] (version-keyed base, in-place reservation
 //!   splicing, cross-pass prefix cache) and places via the planner's
-//!   O(k) exclusive picker;
+//!   O(k) exclusive picker. A start is committed into the timeline in
+//!   place, so the pass after it resumes at the started job's index
+//!   instead of re-planning the jobs ahead of it;
 //! * [`Conservative::reference`] keeps the original from-scratch
 //!   [`AvailabilityProfile`] loop, the oracle `tests/differential.rs`
 //!   holds the optimized path byte-equal to.
@@ -74,25 +76,33 @@ impl Conservative {
         if let Some(delta) = self.poison.take() {
             self.timeline.corrupt_anchor_for_test(delta);
         }
+        let mut planned = 0;
+        let mut decision = Vec::new();
         for job in &ctx.queue[resume..] {
-            let start = self
-                .timeline
-                .plan(job.id, job.nodes as i64, job.walltime_estimate);
+            planned += 1;
+            let (nodes, est) = (job.nodes as i64, job.walltime_estimate);
+            let start = self.timeline.plan(job.id, nodes, est);
             if start <= ctx.now + PLAN_EPS {
-                if let Some(nodes) = self.planner.pick_exclusive(ctx, job, false) {
-                    self.timeline.invalidate();
-                    return vec![Decision::StartExclusive { job: job.id, nodes }];
+                if let Some(ids) = self.planner.pick_exclusive(ctx, job, false) {
+                    self.timeline.commit_start(start, est, nodes);
+                    decision.push(Decision::StartExclusive {
+                        job: job.id,
+                        nodes: ids,
+                    });
+                    break;
                 }
                 // Count-based plan said "fits now" but no concrete idle
                 // nodes satisfy memory — plan it for later instead.
             }
             if start.is_finite() {
-                self.timeline
-                    .reserve(start, job.walltime_estimate, job.nodes as i64);
+                self.timeline.reserve(start, est, nodes);
             }
         }
-        self.timeline.seal();
-        Vec::new()
+        if decision.is_empty() {
+            self.timeline.seal();
+        }
+        count_plans(ctx, planned, resume);
+        decision
     }
 
     fn schedule_reference(&mut self, ctx: &SchedContext<'_>) -> Vec<Decision> {
@@ -100,18 +110,32 @@ impl Conservative {
         // build is exactly the maintenance the incremental path avoids.
         let _timeline_span = ctx.telemetry.map(|t| t.time_timeline());
         let mut profile = AvailabilityProfile::from_context(ctx);
+        let mut planned = 0;
+        let mut decision = Vec::new();
         for job in ctx.queue {
+            planned += 1;
             let start = profile.earliest_fit(ctx.now, job.nodes as i64, job.walltime_estimate);
             if start <= ctx.now + PLAN_EPS {
                 if let Some(nodes) = pick_exclusive(ctx, job, |_| true) {
-                    return vec![Decision::StartExclusive { job: job.id, nodes }];
+                    decision.push(Decision::StartExclusive { job: job.id, nodes });
+                    break;
                 }
             }
             if start.is_finite() {
                 profile.reserve(start, job.walltime_estimate, job.nodes as i64);
             }
         }
-        Vec::new()
+        count_plans(ctx, planned, 0);
+        decision
+    }
+}
+
+/// Adds one pass's plan counts to the telemetry sink, if any: `planned`
+/// jobs searched for a fit, `reused` carried over from the previous pass.
+fn count_plans(ctx: &SchedContext<'_>, planned: u64, reused: usize) {
+    if let Some(t) = ctx.telemetry {
+        t.timeline_planned.add(planned);
+        t.timeline_reused.add(reused as u64);
     }
 }
 

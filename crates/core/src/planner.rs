@@ -536,16 +536,18 @@ fn update_partner(buf: &mut Vec<(JobId, u32, f64)>, r: &Resident, rate: f64) {
 /// 2. **Allocation-free planning** — `earliest_fit` walks candidates and
 ///    deficient steps with two monotone cursors (amortized O(S) per job
 ///    instead of O(S²)), and `reserve` splices the two breakpoints in
-///    place instead of rebuilding. Jobs whose `(nodes, duration)` already
-///    proved unfittable since the last profile mutation are skipped via a
-///    memo (the same per-pass failure-memo discipline as
-///    [`Planner::pick_shared`]).
-/// 3. **Cross-pass placement cache** — when a pass ends with no decision,
-///    the planned queue prefix and final steps are sealed under the
-///    cluster stamp. A later pass with an equal stamp and an unchanged
-///    queue prefix resumes planning at the first new job instead of
-///    re-planning the prefix (see [`ReservationTimeline::begin_pass`]
-///    for the exact soundness conditions when `now` has advanced).
+///    place instead of rebuilding. A request above the final level (the
+///    whole machine once every reservation has ended) can never fit and
+///    plans to ∞ in O(1) without touching the steps.
+/// 3. **Cross-pass placement cache** — the planned queue prefix and its
+///    steps carry over to the next pass instead of being re-planned:
+///    when a pass ends with no decision the prefix is sealed, and a later
+///    pass with an equal stamp (or an anchor move the plan provably
+///    ignores) resumes at the first new job; when a pass starts a job
+///    that was planned exactly at `now`, [`ReservationTimeline::commit_start`]
+///    keeps the prefix and the next pass resumes at the started job's
+///    index (see [`ReservationTimeline::begin_pass`] for the exact
+///    soundness conditions of both).
 ///
 /// `crates/core/tests/prop_profile.rs` checks the timeline step-for-step
 /// against a from-scratch rebuild at every decision point of randomized
@@ -563,26 +565,40 @@ pub struct ReservationTimeline {
     /// Identical contents to the reference profile's steps at every
     /// point of the planning loop.
     steps: Vec<(f64, i64)>,
-    /// `(nodes, duration)` keys proven unfittable (earliest fit = ∞)
-    /// against the *current* steps; cleared on any profile mutation.
-    // detlint: allow(D1, infeasibility memo probed via contains; never iterated)
-    infeasible: HashSet<u128>,
-    /// Whether the sealed memo below may be reused.
-    memo_valid: bool,
-    /// `now` of the sealed pass.
-    memo_now: f64,
-    /// Anchor level (`steps[0].1`) at seal time.
-    memo_level: i64,
-    /// Minimum node request over all planned jobs of the sealed prefix.
-    memo_min_k: i64,
+    /// How the planned prefix may carry over to the next pass.
+    carry: Carry,
     /// Whether any planned reservation was anchored at `now` (start ≤
     /// `now + PLAN_EPS`), which makes the profile sensitive to where the
     /// anchor sits.
     memo_anchored: bool,
-    /// Queue prefix (job ids, in order) the sealed profile accounts for.
+    /// `memo_anchored` as it was before the last planned job, restored
+    /// when that job starts instead of being reserved.
+    anchored_before_last: bool,
+    /// Queue prefix (job ids, in order) the retained steps account for.
     memo_ids: Vec<JobId>,
     /// `now` of the pass currently being planned.
     pass_now: f64,
+}
+
+/// What the last pass left for the next one to resume from.
+#[derive(Clone, Copy, Debug, Default)]
+enum Carry {
+    /// Nothing: the next pass rebuilds.
+    #[default]
+    None,
+    /// A pass at `now` ended with no decision ([`ReservationTimeline::seal`]).
+    Sealed { now: f64 },
+    /// A pass committed a start in place
+    /// ([`ReservationTimeline::commit_start`]). It stands if the next pass
+    /// sees the same instant, exactly one cluster mutation since `key`,
+    /// and `job` running until `end` on `nodes` nodes.
+    Started {
+        job: JobId,
+        now: f64,
+        key: (u64, u64),
+        end: f64,
+        nodes: i64,
+    },
 }
 
 impl ReservationTimeline {
@@ -594,50 +610,81 @@ impl ReservationTimeline {
     /// Starts a scheduling pass and returns the queue index to resume
     /// planning at: `0` means the profile was rebuilt and every queued
     /// job must be planned; `n > 0` means the first `n` jobs are already
-    /// accounted for by the sealed previous pass and planning continues
-    /// at `queue[n..]` against the retained steps.
+    /// accounted for by the retained steps and planning continues at
+    /// `queue[n..]`.
     ///
-    /// The prefix is reusable when the cluster stamp is unchanged (equal
-    /// stamps mean identical occupancy, so the base profile and every
-    /// prefix decision replay identically), the queued job ids still
-    /// match the sealed prefix, and either
+    /// After a pass that committed a start in place
+    /// ([`ReservationTimeline::commit_start`]) the prefix planned before
+    /// the started job is reused when `now` is unchanged, the cluster
+    /// instance is the same with its version exactly one higher, the
+    /// started job runs with exactly the reserved end and node count, and
+    /// the queue still begins with the prefix. Then the only change since
+    /// the pass is that job's start, whose window the steps already
+    /// reserve; its release joins the `ends` cache in place and planning
+    /// resumes at its old index.
+    ///
+    /// After a sealed no-decision pass the prefix is reusable when the
+    /// cluster stamp is unchanged (equal stamps mean identical occupancy,
+    /// so the base profile and every prefix decision replay identically),
+    /// the queued job ids still match the sealed prefix, and either
     ///
     /// * `now` is unchanged (the engine re-invokes the policy within one
     ///   instant until it returns no decision), or
-    /// * `now` advanced and the old plan is provably insensitive to the
-    ///   anchor move: no reservation was anchored at the old `now`, no
-    ///   profile breakpoint lies in `(old now, new now + PLAN_EPS]` (so
-    ///   no planned start or release crosses the anchor or the fit-now
-    ///   epsilon window), and every planned job requests more nodes than
-    ///   the anchor level (so the `now` candidate fails its count check
-    ///   in both passes and the remaining candidates — all strictly
-    ///   later — are shared). Under those conditions the fresh rebuild
-    ///   would produce these exact steps with the anchor moved, so the
-    ///   anchor is moved in place.
+    /// * `now` advanced, no reservation was anchored at the old `now`,
+    ///   and no profile breakpoint lies in `(old now, new now + PLAN_EPS]`.
+    ///   A job's `now` candidate then either failed its count check in
+    ///   both passes (the anchor level is unchanged) or failed on a
+    ///   deficient step after `old now + PLAN_EPS`, which also lies after
+    ///   `new now + PLAN_EPS` and still inside the shifted window; every
+    ///   later candidate is the same breakpoint in both passes. The fresh
+    ///   rebuild would produce these exact steps with the anchor moved,
+    ///   so the anchor is moved in place.
     pub fn begin_pass(&mut self, ctx: &SchedContext<'_>) -> usize {
         self.pass_now = ctx.now;
         let key = ctx.cluster.stamp();
-        let memo_ok = self.memo_valid
-            && self.cache_key == Some(key)
-            && self.memo_ids.len() <= ctx.queue.len()
-            && self.memo_ids.iter().zip(ctx.queue).all(|(m, j)| *m == j.id);
-        if memo_ok {
-            if ctx.now == self.memo_now {
-                self.memo_valid = false; // re-sealed by `seal`
-                return self.memo_ids.len();
-            }
-            if ctx.now > self.memo_now
-                && !self.memo_anchored
-                && self.memo_min_k > self.memo_level
-                && self.no_breakpoint_in(self.memo_now, ctx.now + PLAN_EPS)
+        // Whatever resumes is re-sealed or re-committed by this pass.
+        match std::mem::take(&mut self.carry) {
+            Carry::Started {
+                job,
+                now,
+                key: old,
+                end,
+                nodes,
+            } if ctx.now == now
+                && key.0 == old.0
+                && key.1 == old.1.wrapping_add(1)
+                && ctx.running.get(&job).is_some_and(|r| {
+                    r.est_end().to_bits() == end.to_bits() && r.nodes as i64 == nodes
+                })
+                && self.prefix_matches(ctx) =>
             {
-                self.steps[0].0 = ctx.now;
-                self.memo_valid = false;
+                let at = self.ends.partition_point(|e| e.0 <= end);
+                self.ends.insert(at, (end, nodes));
+                self.cache_key = Some(key);
                 return self.memo_ids.len();
             }
+            Carry::Sealed { now } if self.cache_key == Some(key) && self.prefix_matches(ctx) => {
+                if ctx.now == now {
+                    return self.memo_ids.len();
+                }
+                if ctx.now > now
+                    && !self.memo_anchored
+                    && self.no_breakpoint_in(now, ctx.now + PLAN_EPS)
+                {
+                    self.steps[0].0 = ctx.now;
+                    return self.memo_ids.len();
+                }
+            }
+            _ => {}
         }
         self.rebuild(ctx, key);
         0
+    }
+
+    /// Whether the queue still begins with the planned prefix.
+    fn prefix_matches(&self, ctx: &SchedContext<'_>) -> bool {
+        self.memo_ids.len() <= ctx.queue.len()
+            && self.memo_ids.iter().zip(ctx.queue).all(|(m, j)| *m == j.id)
     }
 
     /// Rebuilds the working steps from the (possibly refreshed) base:
@@ -669,11 +716,8 @@ impl ReservationTimeline {
                 _ => self.steps.push((t, level)),
             }
         }
-        self.infeasible.clear();
-        self.memo_valid = false;
         self.memo_ids.clear();
         self.memo_anchored = false;
-        self.memo_min_k = i64::MAX;
     }
 
     /// Whether no breakpoint time `t` satisfies `lo < t ≤ hi`.
@@ -686,21 +730,23 @@ impl ReservationTimeline {
     /// throughout `[t, t + duration)`, bit-identical to
     /// [`crate::util::AvailabilityProfile::earliest_fit`], plus the
     /// cross-pass memo bookkeeping. The caller then either starts the
-    /// job (and must [`ReservationTimeline::invalidate`]) or commits the
-    /// finite plan with [`ReservationTimeline::reserve`].
+    /// job (and must [`ReservationTimeline::commit_start`]) or commits
+    /// the finite plan with [`ReservationTimeline::reserve`].
     pub fn plan(&mut self, id: JobId, nodes: i64, duration: f64) -> f64 {
         self.memo_ids.push(id);
-        self.memo_min_k = self.memo_min_k.min(nodes);
-        let key = (duration.to_bits() as u128) | (nodes as u128) << 64;
-        if self.infeasible.contains(&key) {
+        self.anchored_before_last = self.memo_anchored;
+        // Past the last breakpoint every running job and reservation has
+        // ended, so the last level is the profile's maximum: a request
+        // above it fails every candidate's count check, and one at or
+        // below it fits at the last breakpoint at the latest.
+        if self.steps.last().is_some_and(|s| nodes > s.1) {
+            debug_assert!(self
+                .earliest_fit(self.pass_now, nodes, duration)
+                .is_infinite());
             return f64::INFINITY;
         }
         let start = self.earliest_fit(self.pass_now, nodes, duration);
-        if start == f64::INFINITY {
-            // Deterministic against unchanged steps: an identical later
-            // request is ∞ too, with no side effects either way.
-            self.infeasible.insert(key);
-        } else if start <= self.pass_now + PLAN_EPS {
+        if start <= self.pass_now + PLAN_EPS {
             self.memo_anchored = true;
         }
         start
@@ -759,7 +805,6 @@ impl ReservationTimeline {
         for s in &mut self.steps[i0..i1] {
             s.1 -= nodes;
         }
-        self.infeasible.clear();
     }
 
     /// Index of the breakpoint at exactly `t`, inserting one carrying the
@@ -777,19 +822,53 @@ impl ReservationTimeline {
         }
     }
 
+    /// Records that the job planned last is being started on `nodes`
+    /// nodes for `duration` (its estimate) from its planned `start`, and
+    /// keeps the prefix planned before it for the next pass.
+    ///
+    /// The engine then runs the job until `now + duration`, so a rebuilt
+    /// profile differs from the prefix's steps by exactly the window
+    /// `[now, now + duration)`, which is reserved here. The prefix plans
+    /// stay the same: their reservations left the job's window free, so
+    /// taking the window away removes no earlier candidate's fit, and
+    /// the job's end, a new candidate for them, fails wherever the
+    /// breakpoint before it failed. Both arguments hold only where the
+    /// job's fit check looked, so the prefix is dropped (and the next
+    /// pass rebuilds) when the start is not exactly `now`, a breakpoint
+    /// lies in `(now, now + PLAN_EPS]`, or one lies within `PLAN_EPS` of
+    /// the end other than exactly at it.
+    pub fn commit_start(&mut self, start: f64, duration: f64, nodes: i64) {
+        self.carry = Carry::None;
+        let (Some(key), Some(job)) = (self.cache_key, self.memo_ids.pop()) else {
+            return;
+        };
+        self.memo_anchored = self.anchored_before_last;
+        let now = self.pass_now;
+        let end = start + duration;
+        let near_end = self.steps.partition_point(|s| s.0 < end - PLAN_EPS);
+        let blind = start != now
+            || !self.no_breakpoint_in(now, now + PLAN_EPS)
+            || self.steps[near_end..]
+                .iter()
+                .take_while(|s| s.0 <= end + PLAN_EPS)
+                .any(|s| s.0 != end);
+        if blind {
+            return;
+        }
+        self.reserve(start, duration, nodes);
+        self.carry = Carry::Started {
+            job,
+            now,
+            key,
+            end,
+            nodes,
+        };
+    }
+
     /// Ends a no-decision pass: seals the planned prefix so the next
     /// pass may resume after it.
     pub fn seal(&mut self) {
-        self.memo_now = self.pass_now;
-        self.memo_level = self.steps.first().map_or(0, |s| s.1);
-        self.memo_valid = true;
-    }
-
-    /// Drops the sealed prefix — called when a decision is returned
-    /// (applying it mutates the cluster, so the profile is stale) or
-    /// when the caller abandons the pass.
-    pub fn invalidate(&mut self) {
-        self.memo_valid = false;
+        self.carry = Carry::Sealed { now: self.pass_now };
     }
 
     /// The working profile steps (for equivalence tests).
@@ -805,7 +884,6 @@ impl ReservationTimeline {
         if let Some(first) = self.steps.first_mut() {
             first.1 -= delta;
         }
-        self.infeasible.clear();
     }
 }
 
@@ -1002,6 +1080,21 @@ mod timeline_tests {
         }
     }
 
+    fn running_job(job: JobId, nodes: u32, start: f64, kill_at: f64) -> RunningSummary {
+        RunningSummary {
+            job,
+            app: AppId(0),
+            nodes,
+            requested_nodes: nodes,
+            malleable: Default::default(),
+            start,
+            walltime_estimate: kill_at - start,
+            kill_at,
+            share_eligible: false,
+            mode: ShareMode::Exclusive,
+        }
+    }
+
     struct Rig {
         cluster: Cluster,
         running: BTreeMap<JobId, RunningSummary>,
@@ -1018,21 +1111,7 @@ mod timeline_tests {
             let ids: Vec<NodeId> = (next..next + nodes).map(NodeId).collect();
             next += nodes;
             cluster.allocate_exclusive(JobId(id), &ids, 64).unwrap();
-            running.insert(
-                JobId(id),
-                RunningSummary {
-                    job: JobId(id),
-                    app: AppId(0),
-                    nodes,
-                    requested_nodes: nodes,
-                    malleable: Default::default(),
-                    start: 0.0,
-                    walltime_estimate: end,
-                    kill_at: end,
-                    share_eligible: false,
-                    mode: ShareMode::Exclusive,
-                },
-            );
+            running.insert(JobId(id), running_job(JobId(id), nodes, 0.0, end));
         }
         Rig {
             cluster,
@@ -1044,6 +1123,17 @@ mod timeline_tests {
     impl Rig {
         fn ctx(&self, now: f64) -> SchedContext<'_> {
             self.ctx_prefix(now, self.queue.len())
+        }
+
+        /// Applies a start as the engine does: the job leaves the queue
+        /// and holds idle nodes until `kill_at`.
+        fn start(&mut self, id: JobId, now: f64, kill_at: f64) {
+            let pos = self.queue.iter().position(|j| j.id == id).unwrap();
+            let job = self.queue.remove(pos);
+            let ids: Vec<NodeId> = self.cluster.idle_nodes().take(job.nodes as usize).collect();
+            self.cluster.allocate_exclusive(id, &ids, 64).unwrap();
+            self.running
+                .insert(id, running_job(id, job.nodes, now, kill_at));
         }
 
         fn ctx_prefix(&self, now: f64, n: usize) -> SchedContext<'_> {
@@ -1096,15 +1186,118 @@ mod timeline_tests {
         plan_all_checked(&mut tl, &ctx);
     }
 
+    /// One pass of the conservative loop on counts alone: plans from the
+    /// resume index, commits the first job that fits now as a start, and
+    /// otherwise reserves every finite plan and seals. Returns the resume
+    /// index and the started job.
+    fn pass(tl: &mut ReservationTimeline, ctx: &SchedContext<'_>) -> (usize, Option<JobId>) {
+        let resume = tl.begin_pass(ctx);
+        for job in &ctx.queue[resume..] {
+            let (nodes, est) = (job.nodes as i64, job.walltime_estimate);
+            let start = tl.plan(job.id, nodes, est);
+            if start <= ctx.now + PLAN_EPS {
+                tl.commit_start(start, est, nodes);
+                return (resume, Some(job.id));
+            }
+            if start.is_finite() {
+                tl.reserve(start, est, nodes);
+            }
+        }
+        tl.seal();
+        (resume, None)
+    }
+
+    /// Steps a fresh timeline reaches by planning all of `ctx`'s queue,
+    /// checked against the reference profile along the way.
+    fn rebuilt_steps(ctx: &SchedContext<'_>) -> Vec<(f64, i64)> {
+        let mut fresh = ReservationTimeline::new();
+        assert_eq!(fresh.begin_pass(ctx), 0);
+        plan_all_checked(&mut fresh, ctx);
+        fresh.steps().to_vec()
+    }
+
     #[test]
-    fn oversized_requests_plan_to_infinity() {
-        let rig = rig(4, &[], vec![queued(0, 5, 10.0)]);
+    fn requests_above_the_final_level_plan_to_infinity_in_place() {
+        // 4 nodes, one reservation planned: the final level is 4, so a
+        // 5-node request can never fit and must leave the steps alone.
+        let rig = rig(4, &[(100, 2, 50.0)], vec![queued(0, 4, 30.0)]);
         let ctx = rig.ctx(0.0);
         let mut tl = ReservationTimeline::new();
         tl.begin_pass(&ctx);
-        assert!(tl.plan(JobId(0), 5, 10.0).is_infinite());
-        // Memoized second answer must agree.
-        assert!(tl.plan(JobId(0), 5, 10.0).is_infinite());
+        plan_all_checked(&mut tl, &ctx);
+        let before = tl.steps().to_vec();
+        assert!(tl.plan(JobId(1), 5, 10.0).is_infinite());
+        assert!(tl.plan(JobId(2), 5, 0.0).is_infinite());
+        assert_eq!(tl.steps(), &before[..]);
+        // At the final level the request still fits, after the others.
+        assert_eq!(tl.plan(JobId(3), 4, 10.0), 80.0);
+    }
+
+    #[test]
+    fn a_start_resumes_at_the_started_jobs_index() {
+        // 8 nodes, 4 busy until 50. Job 0 (6 nodes) waits for 50; job 1
+        // (2 nodes, 30 s) fits now and starts; job 2 (8 nodes) waits.
+        let mut rig = rig(
+            8,
+            &[(100, 4, 50.0)],
+            vec![queued(0, 6, 60.0), queued(1, 2, 30.0), queued(2, 8, 10.0)],
+        );
+        let mut tl = ReservationTimeline::new();
+        assert_eq!(pass(&mut tl, &rig.ctx(0.0)), (0, Some(JobId(1))));
+        rig.start(JobId(1), 0.0, 30.0);
+        let ctx = rig.ctx(0.0);
+        assert_eq!(pass(&mut tl, &ctx), (1, None), "resume at job 1's index");
+        assert_eq!(tl.steps(), &rebuilt_steps(&ctx)[..]);
+        // The sealed prefix is a valid base for the next resume too.
+        assert_eq!(pass(&mut tl, &ctx), (2, None));
+        assert_eq!(tl.steps(), &rebuilt_steps(&ctx)[..]);
+    }
+
+    #[test]
+    fn a_start_is_dropped_when_the_engine_did_more_than_apply_it() {
+        let fresh = || {
+            rig(
+                8,
+                &[(100, 4, 50.0)],
+                vec![queued(0, 6, 60.0), queued(1, 2, 30.0), queued(2, 8, 10.0)],
+            )
+        };
+        // Another mutation besides the start: the version moved by two.
+        let mut rig = fresh();
+        let mut tl = ReservationTimeline::new();
+        assert_eq!(pass(&mut tl, &rig.ctx(0.0)).1, Some(JobId(1)));
+        rig.start(JobId(1), 0.0, 30.0);
+        rig.cluster.drain(NodeId(7)).unwrap();
+        let ctx = rig.ctx(0.0);
+        assert_eq!(pass(&mut tl, &ctx).0, 0, "an unseen mutation must rebuild");
+        // The job runs to another end than the one reserved (a shared
+        // start's walltime grace).
+        let mut rig = fresh();
+        let mut tl = ReservationTimeline::new();
+        assert_eq!(pass(&mut tl, &rig.ctx(0.0)).1, Some(JobId(1)));
+        rig.start(JobId(1), 0.0, 45.0);
+        let ctx = rig.ctx(0.0);
+        assert_eq!(pass(&mut tl, &ctx).0, 0, "another end must rebuild");
+        assert_eq!(tl.steps(), &rebuilt_steps(&ctx)[..]);
+    }
+
+    #[test]
+    fn a_start_ending_near_another_breakpoint_rebuilds() {
+        // Job 0 (4 nodes) is reserved from 50, when job 100 releases.
+        // Job 1 ends within PLAN_EPS of 50, inside the window its fit
+        // check does not look at, so its start cannot be committed.
+        let est = 50.0 + PLAN_EPS / 2.0;
+        let mut rig = rig(
+            4,
+            &[(100, 2, 50.0)],
+            vec![queued(0, 4, 100.0), queued(1, 2, est)],
+        );
+        let mut tl = ReservationTimeline::new();
+        assert_eq!(pass(&mut tl, &rig.ctx(0.0)), (0, Some(JobId(1))));
+        rig.start(JobId(1), 0.0, est);
+        let ctx = rig.ctx(0.0);
+        assert_eq!(pass(&mut tl, &ctx), (0, None));
+        assert_eq!(tl.steps(), &rebuilt_steps(&ctx)[..]);
     }
 
     #[test]
@@ -1156,10 +1349,29 @@ mod timeline_tests {
         let ctx5 = rig.ctx(5.0);
         assert_eq!(tl.begin_pass(&ctx5), 1, "anchor shift should resume");
         // The shifted steps must equal a from-scratch replay at t=5.
-        let mut fresh = ReservationTimeline::new();
-        assert_eq!(fresh.begin_pass(&ctx5), 0);
-        plan_all_checked(&mut fresh, &ctx5);
-        assert_eq!(tl.steps(), fresh.steps());
+        assert_eq!(tl.steps(), &rebuilt_steps(&ctx5)[..]);
+    }
+
+    #[test]
+    fn now_advance_resumes_with_a_request_within_the_anchor_level() {
+        // 2 of 4 nodes free until 1000. Job 0 takes the whole machine at
+        // [1000, 1010); job 1 asks for the 2 free nodes but its window
+        // from now runs into job 0's, so it plans at 1010. Its request
+        // does not exceed the anchor level, yet moving the anchor cannot
+        // change its plan: the deficient step at 1000 stays in its window.
+        let rig = rig(
+            4,
+            &[(100, 2, 1_000.0)],
+            vec![queued(0, 4, 10.0), queued(1, 2, 2_000.0)],
+        );
+        let mut tl = ReservationTimeline::new();
+        let ctx0 = rig.ctx(0.0);
+        assert_eq!(tl.begin_pass(&ctx0), 0);
+        plan_all_checked(&mut tl, &ctx0);
+        tl.seal();
+        let ctx5 = rig.ctx(5.0);
+        assert_eq!(tl.begin_pass(&ctx5), 2, "anchor shift should resume");
+        assert_eq!(tl.steps(), &rebuilt_steps(&ctx5)[..]);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! as a from-scratch reference replay and — when the pass commits no
 //! decision — leave step-for-step identical reservation steps. Campaign
 //! variants cover the invalidation sources the timeline must survive:
-//! releases, walltime kills (lying estimates), and failure-driven
-//! requeues.
+//! releases, walltime kills (lying estimates), failure-driven requeues,
+//! and bursts of starts within one instant whose ends coincide.
 
 use nodeshare_cluster::{ClusterSpec, JobId, NodeSpec};
 use nodeshare_core::util::{pick_exclusive, AvailabilityProfile, PLAN_EPS};
@@ -126,6 +126,62 @@ fn build_workload(raw: Vec<RawJob>) -> Workload {
     Workload::new(jobs).unwrap()
 }
 
+/// Jobs submitted at one instant with one estimate: each burst starts
+/// several jobs in a row at the same `now`, and their ends coincide.
+#[derive(Clone, Debug)]
+struct Burst {
+    /// Whole seconds since the previous burst, so ends of different
+    /// bursts can coincide exactly too.
+    gap: f64,
+    /// Whole seconds plus 0, ½ or 1 `PLAN_EPS`: some ends land within
+    /// the planning epsilon of another breakpoint without equalling it.
+    est: f64,
+    /// Actual runtime over estimate; above 1 the burst is killed at its
+    /// estimate.
+    runtime_factor: f64,
+    nodes: Vec<u32>,
+}
+
+fn burst() -> impl Strategy<Value = Burst> {
+    (
+        0u32..200,
+        1u32..200,
+        0u32..3,
+        0.5f64..1.2,
+        prop::collection::vec(1u32..=NODES / 2, 1..8),
+    )
+        .prop_map(|(gap, est, jitter, runtime_factor, nodes)| Burst {
+            gap: gap as f64,
+            est: est as f64 + jitter as f64 * PLAN_EPS / 2.0,
+            runtime_factor,
+            nodes,
+        })
+}
+
+fn build_bursts(bursts: Vec<Burst>) -> Workload {
+    let mut t = 0.0;
+    let mut jobs = Vec::new();
+    for b in bursts {
+        t += b.gap;
+        for nodes in b.nodes {
+            let i = jobs.len();
+            jobs.push(JobSpec {
+                malleable: Default::default(),
+                id: JobId(i as u64),
+                app: AppId((i % 8) as u8),
+                nodes,
+                submit: t,
+                runtime_exclusive: b.est * b.runtime_factor,
+                walltime_estimate: b.est,
+                mem_per_node_mib: 64,
+                share_eligible: false,
+                user: 0,
+            });
+        }
+    }
+    Workload::new(jobs).unwrap()
+}
+
 fn world() -> (CoRunTruth, SimConfig) {
     let catalog = AppCatalog::trinity();
     let matrix = CoRunTruth::build(&catalog, &ContentionModel::calibrated());
@@ -170,6 +226,24 @@ proptest! {
             seed: fseed,
         });
         let workload = build_workload(raw);
+        let mut checked = ProfileChecked::new();
+        let out = run(&workload, &matrix, &mut checked, &config);
+        prop_assert!(checked.passes > 0);
+        let mut plain = Conservative::new();
+        let out_plain = run(&workload, &matrix, &mut plain, &config);
+        prop_assert!(out == out_plain);
+    }
+
+    /// Start-driven carry-over: bursts of equal-estimate arrivals start
+    /// several jobs per instant, each pass resuming after the last start,
+    /// with ends that coincide with each other and with earlier bursts'
+    /// breakpoints. Every decision point still agrees with the rebuild.
+    #[test]
+    fn incremental_profile_survives_start_bursts(
+        bursts in prop::collection::vec(burst(), 1..8),
+    ) {
+        let (matrix, config) = world();
+        let workload = build_bursts(bursts);
         let mut checked = ProfileChecked::new();
         let out = run(&workload, &matrix, &mut checked, &config);
         prop_assert!(checked.passes > 0);

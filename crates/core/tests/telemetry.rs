@@ -4,7 +4,7 @@
 //! the core Prometheus families.
 
 use nodeshare_cluster::{ClusterSpec, NodeSpec};
-use nodeshare_core::{Backfill, Pairing, PairingPolicy};
+use nodeshare_core::{Backfill, Conservative, Pairing, PairingPolicy};
 use nodeshare_engine::{run, run_with_telemetry, SimConfig, SimTelemetry, TelemetrySample};
 use nodeshare_perf::{AppCatalog, CoRunTruth, ContentionModel, Predictor};
 use nodeshare_workload::{Workload, WorkloadSpec};
@@ -145,4 +145,30 @@ fn pairing_counters_fire_for_sharing_policies() {
         "co-backfill should co-allocate something"
     );
     assert!(!telemetry.describe().is_empty());
+}
+
+#[test]
+fn timeline_counters_reconcile_with_the_reference() {
+    // The reference plans every job it scans from scratch; the fast path
+    // plans only what it could not carry over. Over the same passes the
+    // two must add up exactly.
+    let (w, truth, config) = fixture();
+    let fast_t = SimTelemetry::new(600.0);
+    let fast = run_with_telemetry(&w, &truth, &mut Conservative::new(), &config, &fast_t);
+    let ref_t = SimTelemetry::new(600.0);
+    let mut reference = Conservative::new().reference();
+    let refr = run_with_telemetry(&w, &truth, &mut reference, &config, &ref_t);
+    assert!(fast.complete());
+    assert_eq!(fast.records, refr.records);
+    let (planned, reused) = (
+        fast_t.sched.timeline_planned.get(),
+        fast_t.sched.timeline_reused.get(),
+    );
+    assert_eq!(ref_t.sched.timeline_reused.get(), 0);
+    assert_eq!(planned + reused, ref_t.sched.timeline_planned.get());
+    assert!(
+        reused > 0,
+        "the fixture must exercise the carried-over prefix"
+    );
+    assert!(planned < ref_t.sched.timeline_planned.get());
 }

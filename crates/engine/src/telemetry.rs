@@ -57,6 +57,12 @@ pub struct SchedTelemetry {
     pub early_exit_passes: Counter,
     /// Backfill candidates those early-exit passes did not examine.
     pub candidates_skipped: Counter,
+    /// Queued jobs planned against the conservative reservation
+    /// timeline (one earliest-fit search each).
+    pub timeline_planned: Counter,
+    /// Queued jobs whose plan a conservative pass carried over from the
+    /// previous pass instead of planning it again (the resumed prefix).
+    pub timeline_reused: Counter,
     /// Completed-job records digested by learning wrappers.
     pub learning_updates: Counter,
     /// Wall-clock time of one placement scan (the Planner/backfill pass
@@ -137,6 +143,14 @@ impl SchedTelemetry {
             candidates_skipped: registry.counter(
                 "sched_backfill_candidates_skipped_total",
                 "Backfill candidates not examined because their pass exited early.",
+            ),
+            timeline_planned: registry.counter(
+                "sched_timeline_planned_total",
+                "Queued jobs planned against the conservative reservation timeline.",
+            ),
+            timeline_reused: registry.counter(
+                "sched_timeline_reused_total",
+                "Queued jobs whose plan a conservative pass carried over from the previous pass.",
             ),
             learning_updates: registry.counter(
                 "sched_learning_updates_total",
@@ -628,6 +642,8 @@ mod tests {
             "# TYPE sched_shared_bound_exits_total counter",
             "# TYPE sched_backfill_early_exit_passes_total counter",
             "# TYPE sched_backfill_candidates_skipped_total counter",
+            "# TYPE sched_timeline_planned_total counter",
+            "# TYPE sched_timeline_reused_total counter",
             "# TYPE sched_phase_duration_seconds histogram",
         ] {
             assert!(text.contains(family), "missing {family} in:\n{text}");
