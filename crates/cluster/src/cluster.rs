@@ -5,7 +5,7 @@ use crate::alloc::{Allocation, Placement, ShareMode};
 use crate::ids::{JobId, Lane, NodeId};
 use crate::node::{AdminState, Node, NodeError};
 use crate::spec::ClusterSpec;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 
 /// Errors from cluster-level allocation operations.
 ///
@@ -85,9 +85,15 @@ struct NodeClass {
     occupied: bool,
     /// Two or more distinct resident jobs.
     shared: bool,
-    /// Free-lane bucket the node currently sits in (0 = none).
-    bucket: u8,
+    /// Member of the idle index: up with no resident.
+    idle: bool,
+    /// Member of the partial index: up, occupied, a lane free.
+    partial: bool,
 }
+
+/// Node-journal capacity per cluster node: the journal keeps the last
+/// `JOURNAL_PER_NODE × node_count` node refreshes.
+const JOURNAL_PER_NODE: usize = 4;
 
 /// A cluster of homogeneous nodes with lane-granular allocation tracking.
 ///
@@ -98,8 +104,8 @@ struct NodeClass {
 ///   allocation);
 /// * **partial** — up nodes with at least one resident job *and* at least
 ///   one free lane (candidates for co-allocation);
-/// * **free-lane buckets** — the partial set split by free-lane count, so
-///   SMT>2 lane searches can ask for "nodes with ≥ n free lanes" directly;
+/// * **node journal** — the nodes each recent mutation touched, so a cache
+///   of per-node state can re-derive only those ([`Cluster::touched_since`]);
 /// * **occupancy counters** — occupied/shared node counts, making
 ///   [`Cluster::occupancy_counts`] O(1) (the per-event occupancy series
 ///   recorded by the engine reads these instead of walking every node).
@@ -117,8 +123,12 @@ pub struct Cluster {
     allocations: HashMap<JobId, Allocation>,
     idle: BTreeSet<NodeId>,
     partial: BTreeSet<NodeId>,
-    /// `lane_buckets[f]` = partial nodes with exactly `f` free lanes.
-    lane_buckets: Vec<BTreeSet<NodeId>>,
+    /// `(version, node)` per node refresh, oldest first: `node` changed in
+    /// the mutation that produced `version`. Bounded; see `journal_floor`.
+    journal: VecDeque<(u64, NodeId)>,
+    /// Oldest version the journal still covers completely: every node
+    /// touched after any version `≥ journal_floor` is in `journal`.
+    journal_floor: u64,
     class: Vec<NodeClass>,
     occupied_nodes: usize,
     shared_nodes: usize,
@@ -129,7 +139,8 @@ pub struct Cluster {
 
 /// Cloning starts a new mutation history: the clone gets a fresh
 /// [`Cluster::instance_id`] so `(instance, version)` stays a unique key
-/// even when a clone and its original diverge.
+/// even when a clone and its original diverge, and an empty node journal
+/// that covers only its own mutations.
 impl Clone for Cluster {
     fn clone(&self) -> Self {
         Cluster {
@@ -138,7 +149,8 @@ impl Clone for Cluster {
             allocations: self.allocations.clone(),
             idle: self.idle.clone(),
             partial: self.partial.clone(),
-            lane_buckets: self.lane_buckets.clone(),
+            journal: VecDeque::with_capacity(self.journal.capacity()),
+            journal_floor: self.version,
             class: self.class.clone(),
             occupied_nodes: self.occupied_nodes,
             shared_nodes: self.shared_nodes,
@@ -168,7 +180,13 @@ impl Cluster {
             .map(|i| Node::new(NodeId(i), spec.node))
             .collect();
         let idle = nodes.iter().map(Node::id).collect();
-        let class = vec![NodeClass::default(); nodes.len()];
+        let class = vec![
+            NodeClass {
+                idle: true,
+                ..NodeClass::default()
+            };
+            nodes.len()
+        ];
         Cluster {
             spec,
             nodes,
@@ -176,7 +194,8 @@ impl Cluster {
             allocations: HashMap::new(),
             idle,
             partial: BTreeSet::new(),
-            lane_buckets: vec![BTreeSet::new(); spec.node.smt as usize + 1],
+            journal: VecDeque::with_capacity(JOURNAL_PER_NODE * spec.node_count as usize),
+            journal_floor: 0,
             class,
             occupied_nodes: 0,
             shared_nodes: 0,
@@ -237,26 +256,6 @@ impl Cluster {
         self.partial.len()
     }
 
-    /// Partial nodes with at least `min_free` free lanes, in id order —
-    /// the lane-bucket index, so an SMT>2 search for "room for n more
-    /// lanes" does not touch nodes that cannot qualify.
-    pub fn partial_nodes_with_free_lanes(&self, min_free: u8) -> impl Iterator<Item = NodeId> + '_ {
-        let lo = (min_free as usize).max(1).min(self.lane_buckets.len());
-        let mut ids: Vec<NodeId> = self.lane_buckets[lo..]
-            .iter()
-            .flat_map(|b| b.iter().copied())
-            .collect();
-        ids.sort_unstable();
-        ids.into_iter()
-    }
-
-    /// Number of partial nodes with exactly `free` free lanes.
-    pub fn lane_bucket_count(&self, free: u8) -> usize {
-        self.lane_buckets
-            .get(free as usize)
-            .map_or(0, BTreeSet::len)
-    }
-
     /// Monotone state-change counter: bumped on every successful mutation
     /// (allocate, release, drain, resume, set-down). Equal versions on the
     /// same [`Cluster::instance_id`] mean identical occupancy.
@@ -282,6 +281,20 @@ impl Cluster {
     #[inline]
     pub fn stamp(&self) -> (u64, u64) {
         (self.instance, self.version)
+    }
+
+    /// Nodes touched by the mutations after version `since` of this
+    /// instance, oldest first (a node touched twice appears twice): every
+    /// node whose lanes, memory or admin state may differ from what it was
+    /// at `since`. `None` when the bounded journal no longer reaches back
+    /// to `since` (or `since` is not a version of this instance); the
+    /// caller then re-derives everything.
+    pub fn touched_since(&self, since: u64) -> Option<impl Iterator<Item = NodeId> + '_> {
+        if since < self.journal_floor || since > self.version {
+            return None;
+        }
+        let start = self.journal.partition_point(|&(v, _)| v <= since);
+        Some(self.journal.range(start..).map(|&(_, n)| n))
     }
 
     /// O(1) occupancy counters: `(busy physical cores, nodes hosting two
@@ -327,31 +340,40 @@ impl Cluster {
         Ok(())
     }
 
+    /// Re-indexes one node after a mutation changed it, and journals it
+    /// under the version that mutation is about to produce. Every
+    /// successful mutation passes here for each node it changes.
     fn refresh_index(&mut self, id: NodeId) {
         let node = &self.nodes[id.index()];
         let up = node.admin_state() == AdminState::Up;
         let idle = node.is_idle();
-        let free_lanes = node.free_lane_count();
         let new = NodeClass {
             occupied: !idle,
             shared: node.occupant_count() >= 2,
-            bucket: if up && !idle && free_lanes > 0 {
-                free_lanes
-            } else {
-                0
-            },
+            idle: up && idle,
+            partial: up && !idle && node.free_lane_count() > 0,
         };
-        if up && idle {
-            self.idle.insert(id);
-        } else {
-            self.idle.remove(&id);
+        if self.journal.len() == JOURNAL_PER_NODE * self.nodes.len() {
+            if let Some((v, _)) = self.journal.pop_front() {
+                self.journal_floor = v;
+            }
         }
-        if new.bucket > 0 {
-            self.partial.insert(id);
-        } else {
-            self.partial.remove(&id);
-        }
+        self.journal.push_back((self.version + 1, id));
         let old = std::mem::replace(&mut self.class[id.index()], new);
+        if old.idle != new.idle {
+            if new.idle {
+                self.idle.insert(id);
+            } else {
+                self.idle.remove(&id);
+            }
+        }
+        if old.partial != new.partial {
+            if new.partial {
+                self.partial.insert(id);
+            } else {
+                self.partial.remove(&id);
+            }
+        }
         if old.occupied != new.occupied {
             if new.occupied {
                 self.occupied_nodes += 1;
@@ -364,14 +386,6 @@ impl Cluster {
                 self.shared_nodes += 1;
             } else {
                 self.shared_nodes -= 1;
-            }
-        }
-        if old.bucket != new.bucket {
-            if old.bucket > 0 {
-                self.lane_buckets[old.bucket as usize].remove(&id);
-            }
-            if new.bucket > 0 {
-                self.lane_buckets[new.bucket as usize].insert(id);
             }
         }
     }
@@ -675,19 +689,6 @@ impl Cluster {
             }
             if self.partial.contains(&id) != want_partial {
                 return Err(format!("partial index wrong for {id}"));
-            }
-            let want_bucket = if want_partial {
-                node.free_lane_count()
-            } else {
-                0
-            };
-            if self.class[id.index()].bucket != want_bucket {
-                return Err(format!("lane bucket wrong for {id}"));
-            }
-            for (f, bucket) in self.lane_buckets.iter().enumerate() {
-                if bucket.contains(&id) != (want_bucket as usize == f && f > 0) {
-                    return Err(format!("lane bucket {f} membership wrong for {id}"));
-                }
             }
         }
         let snap = self.occupancy_snapshot();

@@ -1,8 +1,9 @@
 //! Property tests: the cluster's allocation table, node lane state, and
 //! capacity indices stay mutually consistent under arbitrary interleavings
-//! of allocate/release/drain/resume operations.
+//! of allocate/release/drain/resume operations, and the node journal
+//! names every node those operations changed.
 
-use nodeshare_cluster::{AllocError, Cluster, ClusterSpec, JobId, NodeId, NodeSpec};
+use nodeshare_cluster::{AdminState, AllocError, Cluster, ClusterSpec, JobId, NodeId, NodeSpec};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -31,8 +32,85 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Applies one op, ignoring allocation errors (they change nothing).
+fn apply(c: &mut Cluster, op: &Op) {
+    let ids = |nodes: &[u32]| -> Vec<NodeId> { nodes.iter().copied().map(NodeId).collect() };
+    match op {
+        Op::AllocExclusive { job, nodes, mem } => {
+            let _ = c.allocate_exclusive(JobId(*job), &ids(nodes), *mem);
+        }
+        Op::AllocShared { job, nodes, mem } => {
+            let _ = c.allocate_shared(JobId(*job), &ids(nodes), *mem);
+        }
+        Op::Release { job } => {
+            let _ = c.release(JobId(*job));
+        }
+        Op::Drain { node } => c.drain(NodeId(*node)).unwrap(),
+        Op::Resume { node } => c.resume(NodeId(*node)).unwrap(),
+    }
+}
+
+/// What a journal consumer may cache about one node: its lane owners in
+/// lane order, admin state and free memory.
+type NodeView = (Vec<Option<JobId>>, AdminState, u64);
+
+fn node_views(c: &Cluster) -> Vec<NodeView> {
+    c.nodes()
+        .iter()
+        .map(|n| {
+            let mut lanes = vec![None; n.spec().smt as usize];
+            for j in n.occupants() {
+                for lane in n.lanes_of(j) {
+                    lanes[lane.0 as usize] = Some(j);
+                }
+            }
+            (lanes, n.admin_state(), n.mem_free())
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// For every version `v` the journal still answers for, the nodes it
+    /// names as touched since `v` cover every node whose lanes, admin
+    /// state or memory differ from the snapshot taken at `v`; versions
+    /// that were truncated away answer `None`, and the present version
+    /// always answers with no node.
+    #[test]
+    fn journal_covers_every_changed_node(ops in prop::collection::vec(op_strategy(), 1..80)) {
+        let mut c = Cluster::new(ClusterSpec::new(NODES, NodeSpec::tiny()));
+        let mut snapshots = vec![(c.version(), node_views(&c))];
+        for op in &ops {
+            apply(&mut c, op);
+            if snapshots.last().map(|s| s.0) != Some(c.version()) {
+                snapshots.push((c.version(), node_views(&c)));
+            }
+            let now = node_views(&c);
+            let mut answered = 0;
+            for (v, then) in &snapshots {
+                let Some(touched) = c.touched_since(*v) else {
+                    // Once a version is truncated away, so is every
+                    // older one.
+                    prop_assert_eq!(answered, 0);
+                    continue;
+                };
+                answered += 1;
+                let touched: Vec<NodeId> = touched.collect();
+                for (i, (a, b)) in then.iter().zip(&now).enumerate() {
+                    if a != b {
+                        prop_assert!(
+                            touched.contains(&NodeId(i as u32)),
+                            "node {} changed since version {} but is not journaled",
+                            i,
+                            v
+                        );
+                    }
+                }
+            }
+            prop_assert!(c.touched_since(c.version()).is_some_and(|mut t| t.next().is_none()));
+        }
+    }
 
     /// After every operation — success or failure — all invariants hold,
     /// and failures leave state unchanged (atomicity).
@@ -137,6 +215,42 @@ proptest! {
             }
         }
     }
+}
+
+#[test]
+fn journal_truncates_and_clones_start_fresh() {
+    // 2 nodes keep the last 8 node refreshes.
+    let mut c = Cluster::new(ClusterSpec::new(2, NodeSpec::tiny()));
+    c.allocate_shared(JobId(1), &[NodeId(0), NodeId(1)], 0)
+        .unwrap();
+    let v1 = c.version();
+    c.set_down(NodeId(0)).unwrap_err();
+    c.release(JobId(1)).unwrap();
+    c.set_down(NodeId(1)).unwrap();
+    let touched: Vec<NodeId> = c.touched_since(v1).unwrap().collect();
+    assert_eq!(touched, [NodeId(0), NodeId(1), NodeId(1)]);
+    for _ in 0..4 {
+        c.drain(NodeId(0)).unwrap();
+    }
+    assert!(c.touched_since(0).is_none(), "version 0 was truncated away");
+    assert!(c.touched_since(v1).is_some());
+    for _ in 0..4 {
+        c.resume(NodeId(0)).unwrap();
+    }
+    assert!(c.touched_since(v1).is_none());
+    assert!(
+        c.touched_since(c.version() + 1).is_none(),
+        "a future version"
+    );
+    // A clone is a new instance whose journal covers only its own
+    // mutations.
+    let v = c.version();
+    let mut d = c.clone();
+    assert_ne!(d.instance_id(), c.instance_id());
+    assert!(d.touched_since(v - 1).is_none());
+    d.resume(NodeId(1)).unwrap();
+    assert_eq!(d.touched_since(v).unwrap().collect::<Vec<_>>(), [NodeId(1)]);
+    assert_eq!(c.touched_since(v).unwrap().count(), 0);
 }
 
 #[test]

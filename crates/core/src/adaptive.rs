@@ -1,7 +1,8 @@
 //! Adaptive width-malleable scheduling: EASY backfill plus reshape.
 //!
 //! Wraps [`Backfill::easy`] and adds two reshape behaviors for running
-//! *exclusive* jobs with a non-rigid [`Malleability`] contract:
+//! *exclusive* jobs with a non-rigid
+//! [`Malleability`](nodeshare_workload::Malleability) contract:
 //!
 //! * **Shrink to admit.** When the inner policy can start nothing and
 //!   the queue is non-empty, shrink running malleable jobs toward their
@@ -50,6 +51,12 @@ impl Adaptive {
         Adaptive {
             inner: self.inner.reference(),
         }
+    }
+
+    /// See [`Backfill::check_planner`].
+    #[doc(hidden)]
+    pub fn check_planner(&mut self, ctx: &SchedContext<'_>) -> Result<bool, String> {
+        self.inner.check_planner(ctx)
     }
 
     /// The nodes `job` currently holds, in grant order.

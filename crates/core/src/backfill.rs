@@ -21,10 +21,10 @@
 //! ones — the property test in `tests/prop_policies.rs` checks it.
 //!
 //! Two implementations coexist: the optimized hot path (default), which
-//! plans against the incremental [`Planner`] caches, and the original
-//! straight-line reference, kept behind [`Backfill::reference`] so the
-//! differential tests can hold the optimized path to bit-identical
-//! outcomes.
+//! plans against the incremental planner caches ([`crate::planner`]),
+//! and the original straight-line reference, kept behind
+//! [`Backfill::reference`] so the differential tests can hold the
+//! optimized path to bit-identical outcomes.
 
 use crate::pairing::Pairing;
 use crate::planner::Planner;
@@ -82,14 +82,26 @@ impl Backfill {
         &self.pairing
     }
 
+    /// Holds the incremental planner state to a from-scratch rebuild for
+    /// `ctx` (for the property tests in
+    /// `crates/core/tests/prop_planner.rs`). `Ok(false)` when the last
+    /// pass did not refresh the planner to `ctx`'s cluster stamp.
+    #[doc(hidden)]
+    pub fn check_planner(&mut self, ctx: &SchedContext<'_>) -> Result<bool, String> {
+        self.planner.check_against_rebuild(ctx, &self.pairing)
+    }
+
     /// The optimized backfill candidate scan — the scheduler's hottest
     /// path (it runs ~10^8 iterations in a saturated campaign; see the
-    /// `sched_latency` benches). It takes the planner's memoized and
-    /// bounded early exits, which skip work while provably returning the
-    /// same decisions, and exits at once when no candidate can fit. A
-    /// telemetered run takes the same path; the counters report what it
-    /// did (`early_exit_passes`/`candidates_skipped` for the early exit,
-    /// `memo_hits`/`bound_exits` for the planner's skips).
+    /// `sched_latency` benches). Shared attempts walk the planner's
+    /// per-app candidate list (built once per change of the partial
+    /// nodes) or take its exact-bound exit, which skip work while
+    /// provably returning the same decisions, and the scan exits at once
+    /// when no candidate can fit. A telemetered run takes the same path;
+    /// the counters report what it did (`early_exit_passes`/
+    /// `candidates_skipped` for the early exit, `bound_exits`,
+    /// `pairing_list_builds` and `planner_nodes_refreshed` for the
+    /// planner).
     fn scan_fast(&mut self, ctx: &SchedContext<'_>, sharing: bool) -> Vec<Decision> {
         let candidates = ctx.queue.len() - 1;
         if ctx.cluster.idle_count() == 0 && (!sharing || self.planner.eligible_partial_count() == 0)

@@ -13,8 +13,9 @@
 //! found no partners.
 //!
 //! Like [`crate::Backfill`], the default path plans against the
-//! incremental [`Planner`] caches; [`FirstFit::reference`] keeps the
-//! original implementation for the differential tests.
+//! incremental planner caches ([`crate::planner`]);
+//! [`FirstFit::reference`] keeps the original implementation for the
+//! differential tests.
 
 use crate::pairing::Pairing;
 use crate::planner::Planner;
@@ -58,6 +59,12 @@ impl FirstFit {
     /// The pairing in use.
     pub fn pairing(&self) -> &Pairing {
         &self.pairing
+    }
+
+    /// See [`crate::Backfill::check_planner`].
+    #[doc(hidden)]
+    pub fn check_planner(&mut self, ctx: &SchedContext<'_>) -> Result<bool, String> {
+        self.planner.check_against_rebuild(ctx, &self.pairing)
     }
 
     fn schedule_fast(&mut self, ctx: &SchedContext<'_>) -> Vec<Decision> {

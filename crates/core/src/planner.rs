@@ -6,31 +6,42 @@
 //! per (candidate, resident) pair. A saturated campaign calls them
 //! millions of times against a cluster that changed only once in between.
 //!
-//! The [`Planner`] keeps the derived state and invalidates it by *events*
-//! instead of recomputing it per pass:
+//! The `Planner` behind [`crate::Backfill`] and [`crate::FirstFit`] keeps
+//! the derived state and updates it by *events* instead of recomputing it
+//! per pass:
 //!
-//! * **Version-keyed caches** — partial-node info (residents, memory,
-//!   eligibility) and raw node free times are rebuilt only when the
-//!   cluster's `(instance, version)` key changes, i.e. when an allocation
-//!   actually happened.
+//! * **Journal-refreshed node slots** — raw free time, free memory,
+//!   eligibility and residents per node. When the cluster's `(instance,
+//!   version)` stamp moves, only the nodes its journal names
+//!   ([`Cluster::touched_since`]) are re-derived; a new cluster instance
+//!   or a journal that no longer reaches back rebuilds every slot. The
+//!   compact partial-node list is rebuilt from the slots only when a
+//!   touched node was or is partial.
+//! * **Per-app candidate lists** — for each candidate app, the eligible
+//!   partial nodes whose resident stack accepts it, sorted by (pairing
+//!   score desc, node id). A list is built lazily, the first time a
+//!   queued job of that app asks after the partial nodes changed; an
+//!   evaluation then walks it applying only the job-dependent filters
+//!   (reservation, memory, duration match at `now`) and takes the first
+//!   `k`.
 //! * **Reservation as a bitset** — the head reservation is a shadow time
 //!   plus a `Vec<bool>` over node ids, computed once per pass with a
-//!   selection (not a full sort) over the cached free times.
+//!   selection (not a full sort) over the slots' free times.
 //! * **Pairing table** — all pairwise policy answers come from the dense
 //!   [`PairingTable`] instead of predictor evaluations.
-//! * **Per-pass failure memo** — a shared-placement attempt is fully
-//!   determined, within one pass, by `(app, node count, reservation
-//!   restriction, memory-threshold rank, walltime bits)`; failed keys are
-//!   remembered so equivalent queue candidates skip the whole evaluation.
-//!   The memo and the exact-upper-bound early exits run whether or not
-//!   telemetry is attached; the `memo_hits` and `bound_exits` counters
-//!   report the evaluations they skipped.
+//! * **Exact upper bound** — an attempt that cannot assemble `k` nodes
+//!   from its list, the memory-fitting partial nodes and the allowed idle
+//!   nodes exits before walking anything (`bound_exits`).
 //!
 //! Every shortcut here is *exact*: for any context, the pickers return
 //! bit-identical results to [`crate::util::pick_exclusive`] and
 //! [`crate::util::pick_shared`] — `tests/differential.rs` holds the
 //! optimized strategies to byte-equal decision traces against the
-//! reference implementations.
+//! reference implementations, and `crates/core/tests/prop_planner.rs`
+//! holds the journal-refreshed state to a from-scratch rebuild at every
+//! pass.
+//!
+//! [`Cluster::touched_since`]: nodeshare_cluster::Cluster::touched_since
 
 use crate::pairing::Pairing;
 use crate::pairtab::PairingTable;
@@ -39,10 +50,9 @@ use nodeshare_cluster::{AdminState, JobId, NodeId};
 use nodeshare_engine::SchedContext;
 use nodeshare_perf::AppId;
 use nodeshare_workload::JobSpec;
-use std::collections::HashSet;
 
-/// One resident of a partial node, denormalized from the running map.
-#[derive(Clone, Copy, Debug)]
+/// One resident of a node, denormalized from the running map.
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct Resident {
     job: JobId,
     app: AppId,
@@ -50,57 +60,81 @@ struct Resident {
     nodes: u32,
 }
 
-/// Cached per-partial-node planning facts (residents live in the flat
-/// `Planner::residents` arena to keep the rebuild allocation-free).
-#[derive(Clone, Copy, Debug)]
-struct PartialInfo {
-    node: NodeId,
+const NO_RESIDENT: Resident = Resident {
+    job: JobId(0),
+    app: AppId(0),
+    est_end: 0.0,
+    nodes: 0,
+};
+
+/// Cached planning facts of one node. Its distinct residents live in
+/// `Planner::residents` at stride `smt` from `node × smt`, so a slot is
+/// re-derived in place without allocating.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct NodeSlot {
+    /// Max `est_end` over running lane owners; −∞ when there are none
+    /// (clamped to `now` at reservation time, matching the reference
+    /// fold that starts at `now`).
+    free_raw: f64,
     mem_free: u64,
+    up: bool,
+    /// In the cluster's partial index: up, occupied, a lane free.
+    partial: bool,
     /// Every resident is known to the running map and share-eligible —
     /// the per-resident preconditions that do not depend on the candidate.
     eligible: bool,
-    res_start: u32,
-    res_len: u32,
+    /// Residents stored for the node (0 when not eligible).
+    res_len: u8,
+}
+
+const EMPTY_SLOT: NodeSlot = NodeSlot {
+    free_raw: f64::NEG_INFINITY,
+    mem_free: 0,
+    up: false,
+    partial: false,
+    eligible: false,
+    res_len: 0,
+};
+
+/// One candidate app's compatible eligible partial nodes with their
+/// pairing scores, sorted by (score desc, node id).
+#[derive(Clone, Debug, Default)]
+struct PairingList {
+    /// `Planner::list_gen` the entries were built for.
+    gen: u64,
+    entries: Vec<(NodeId, f64)>,
 }
 
 /// Event-invalidated planning cache + allocation-free picker scratch.
 #[derive(Clone, Debug)]
 pub(crate) struct Planner {
     table: PairingTable,
-    /// `(cluster instance, cluster version)` the caches were built for.
+    /// Cluster stamp the slots were derived for.
     cache_key: Option<(u64, u64)>,
-    partials: Vec<PartialInfo>,
+    smt: usize,
+    slots: Vec<NodeSlot>,
     residents: Vec<Resident>,
+    up_count: usize,
+    /// Partial nodes in id order.
+    partials: Vec<NodeId>,
     eligible_count: usize,
-    /// Ascending `mem_free` of all partial nodes, for the memo key's
-    /// memory-threshold rank.
+    /// Ascending `mem_free` of all partial nodes, for the memory term of
+    /// the upper bound.
     mem_sorted: Vec<u64>,
-    /// Raw free time per up node in id order: max resident `est_end`, or
-    /// −∞ when idle (clamped to `now` at reservation time, matching the
-    /// reference fold that starts at `now`).
-    free_raw: Vec<(NodeId, f64)>,
+    /// Bumped whenever the partial nodes' slots change; a list built for
+    /// an older generation is rebuilt on its next use.
+    list_gen: u64,
+    /// Indexed by candidate app.
+    lists: Vec<PairingList>,
     // Per-pass reservation state.
     shadow: f64,
     reserved: Vec<bool>,
     reserved_idle: usize,
     eligible_unreserved: usize,
-    // Shared-planning failure memo (packed keys), valid within one era.
-    // detlint: allow(D1, u128-keyed failure memo probed via contains; never iterated)
-    failed_shared: HashSet<u128>,
-    /// Era the failure memo is valid for: cluster stamp plus the pass
-    /// instant (`now` bits). A plan's outcome depends on occupancy, on
-    /// `now` (free-time clamping, duration-match overlap), and on the
-    /// reservation — tracked separately below — so within one era the
-    /// memo carries across engine re-invocations (the same cross-pass
-    /// stamp discipline as [`ReservationTimeline::begin_pass`]).
-    memo_era: Option<(u64, u64, u64)>,
-    /// Head width the current reservation was computed for. `restricted`
-    /// memo entries encode the reservation set, which is a deterministic
-    /// function of (era, k); a different head width invalidates them.
-    memo_resv_k: usize,
+    unreserved_partials: usize,
     // Scratch buffers reused across calls.
     sort_buf: Vec<(NodeId, f64)>,
-    cand_buf: Vec<(u32, NodeId, f64)>,
+    touched_buf: Vec<NodeId>,
     nodes_buf: Vec<NodeId>,
     apps_buf: Vec<AppId>,
     partner_buf: Vec<(JobId, u32, f64)>,
@@ -111,21 +145,22 @@ impl Planner {
         Planner {
             table: PairingTable::build(pairing),
             cache_key: None,
-            partials: Vec::new(),
+            smt: 0,
+            slots: Vec::new(),
             residents: Vec::new(),
+            up_count: 0,
+            partials: Vec::new(),
             eligible_count: 0,
             mem_sorted: Vec::new(),
-            free_raw: Vec::new(),
+            list_gen: 0,
+            lists: Vec::new(),
             shadow: f64::INFINITY,
             reserved: Vec::new(),
             reserved_idle: 0,
             eligible_unreserved: 0,
-            // detlint: allow(D1, failure memo construction; membership-only, see the field note)
-            failed_shared: HashSet::new(),
-            memo_era: None,
-            memo_resv_k: usize::MAX,
+            unreserved_partials: 0,
             sort_buf: Vec::new(),
-            cand_buf: Vec::new(),
+            touched_buf: Vec::new(),
             nodes_buf: Vec::new(),
             apps_buf: Vec::new(),
             partner_buf: Vec::new(),
@@ -138,127 +173,160 @@ impl Planner {
         self.eligible_count
     }
 
-    /// Number of memoized shared-placement failures (test observability).
-    #[cfg(test)]
-    fn memo_len(&self) -> usize {
-        self.failed_shared.len()
-    }
-
     /// The current pass's shadow time (∞ before a reservation is set).
     #[inline]
     pub fn shadow(&self) -> f64 {
         self.shadow
     }
 
-    /// Starts one scheduling pass: refreshes the version-keyed caches if
-    /// the cluster changed, rolls the failure-memo era, and resets the
-    /// reservation to "none" (shadow ∞, nothing restricted).
-    ///
-    /// The memo is cleared only when the `(cluster stamp, now)` era
-    /// actually changed — every input a memoized failure depends on is
-    /// then unchanged, so successive invocations within one instant
-    /// (e.g. several arrivals at the same event time) keep their misses.
+    /// Starts one scheduling pass: brings the slots up to the cluster's
+    /// stamp and resets the reservation to "none" (shadow ∞, nothing
+    /// restricted).
     pub fn begin_pass(&mut self, ctx: &SchedContext<'_>) {
         self.refresh(ctx);
-        let (instance, version) = ctx.cluster.stamp();
-        let era = (instance, version, ctx.now.to_bits());
-        if self.memo_era != Some(era) {
-            self.failed_shared.clear();
-            self.memo_era = Some(era);
-            self.memo_resv_k = usize::MAX;
-        }
         self.shadow = f64::INFINITY;
+        self.reserved.fill(false);
         self.reserved_idle = 0;
         self.eligible_unreserved = self.eligible_count;
+        self.unreserved_partials = self.partials.len();
     }
 
+    /// Re-derives the slots of the nodes touched since the cached stamp
+    /// (every slot on a new cluster instance or a truncated journal),
+    /// then the partial-node summary if any touched node was or is
+    /// partial.
+    ///
+    /// Sound because a slot reads only its node and the running entries
+    /// of the node's residents, and every change to either passes through
+    /// the journal: a job's `kill_at` (its `est_end`) and width change
+    /// only when it starts or is reshaped, and both allocate every node
+    /// it ends up on (a reshape releases the old set first).
     fn refresh(&mut self, ctx: &SchedContext<'_>) {
-        let key = (ctx.cluster.instance_id(), ctx.cluster.version());
+        let key = ctx.cluster.stamp();
         if self.cache_key == Some(key) {
             return;
         }
-        self.partials.clear();
-        self.residents.clear();
-        self.mem_sorted.clear();
-        self.eligible_count = 0;
-        for id in ctx.cluster.partial_nodes() {
-            let Some(node) = ctx.cluster.node(id) else {
+        let mut touched = std::mem::take(&mut self.touched_buf);
+        touched.clear();
+        let incremental = match self.cache_key {
+            Some((instance, version)) if instance == key.0 => ctx
+                .cluster
+                .touched_since(version)
+                .map(|nodes| touched.extend(nodes))
+                .is_some(),
+            _ => false,
+        };
+        let mut partials_changed = !incremental;
+        if incremental {
+            touched.sort_unstable();
+            touched.dedup();
+            for &id in &touched {
+                let was_partial = self.slots[id.index()].partial;
+                self.derive_slot(ctx, id);
+                partials_changed |= was_partial || self.slots[id.index()].partial;
+            }
+        } else {
+            let n = ctx.cluster.node_count();
+            self.smt = ctx.cluster.spec().node.smt as usize;
+            self.slots.clear();
+            self.slots.resize(n, EMPTY_SLOT);
+            self.residents.clear();
+            self.residents.resize(n * self.smt, NO_RESIDENT);
+            self.reserved.clear();
+            self.reserved.resize(n, false);
+            self.up_count = 0;
+            touched.extend(ctx.cluster.nodes().iter().map(|node| node.id()));
+            for &id in &touched {
+                self.derive_slot(ctx, id);
+            }
+        }
+        if let Some(t) = ctx.telemetry {
+            t.planner_nodes_refreshed.add(touched.len() as u64);
+        }
+        self.touched_buf = touched;
+        if partials_changed {
+            self.partials.clear();
+            self.mem_sorted.clear();
+            self.eligible_count = 0;
+            for id in ctx.cluster.partial_nodes() {
+                let slot = &self.slots[id.index()];
+                self.partials.push(id);
+                self.mem_sorted.push(slot.mem_free);
+                self.eligible_count += slot.eligible as usize;
+            }
+            self.mem_sorted.sort_unstable();
+            self.list_gen += 1;
+        }
+        self.cache_key = Some(key);
+    }
+
+    /// Re-derives one node's slot and residents from the cluster and the
+    /// running map.
+    fn derive_slot(&mut self, ctx: &SchedContext<'_>, id: NodeId) {
+        let node = &ctx.cluster.nodes()[id.index()];
+        let base = id.index() * self.smt;
+        let up = node.admin_state() == AdminState::Up;
+        let mut free_raw = f64::NEG_INFINITY;
+        let mut eligible = true;
+        let mut len = 0;
+        for j in node.lane_owners() {
+            let summary = ctx.running.get(&j);
+            if let Some(r) = summary {
+                free_raw = free_raw.max(r.est_end());
+            }
+            if !eligible || self.residents[base..base + len].iter().any(|r| r.job == j) {
                 continue;
-            };
-            let res_start = self.residents.len() as u32;
-            let mut eligible = true;
-            for j in node.occupants() {
-                match ctx.running.get(&j) {
-                    Some(r) if r.share_eligible => self.residents.push(Resident {
+            }
+            match summary {
+                Some(r) if r.share_eligible => {
+                    self.residents[base + len] = Resident {
                         job: j,
                         app: r.app,
                         est_end: r.est_end(),
                         nodes: r.nodes,
-                    }),
-                    // Unknown or non-eligible resident: the node can never
-                    // host a co-runner, whatever the candidate.
-                    _ => {
-                        eligible = false;
-                        break;
-                    }
+                    };
+                    len += 1;
                 }
+                // Unknown or non-eligible resident: the node can never
+                // host a co-runner, whatever the candidate.
+                _ => eligible = false,
             }
-            if !eligible {
-                self.residents.truncate(res_start as usize);
-            }
-            let mem_free = node.mem_free();
-            self.partials.push(PartialInfo {
-                node: id,
-                mem_free,
-                eligible,
-                res_start,
-                res_len: self.residents.len() as u32 - res_start,
-            });
-            self.mem_sorted.push(mem_free);
-            self.eligible_count += eligible as usize;
         }
-        self.mem_sorted.sort_unstable();
-        self.free_raw.clear();
-        for node in ctx.cluster.nodes() {
-            if node.admin_state() != AdminState::Up {
-                continue;
-            }
-            let raw = node
-                .lane_owners()
-                .filter_map(|j| ctx.running.get(&j))
-                .map(|r| r.est_end())
-                .fold(f64::NEG_INFINITY, f64::max);
-            self.free_raw.push((node.id(), raw));
-        }
-        self.reserved.clear();
-        self.reserved.resize(ctx.cluster.node_count(), false);
-        self.cache_key = Some(key);
+        let slot = &mut self.slots[id.index()];
+        self.up_count = self.up_count - slot.up as usize + up as usize;
+        *slot = NodeSlot {
+            free_raw,
+            mem_free: node.mem_free(),
+            up,
+            partial: up && !node.is_idle() && node.free_lane_count() > 0,
+            eligible,
+            res_len: if eligible { len as u8 } else { 0 },
+        };
     }
 
     /// Computes the head reservation for `k` nodes: same shadow and same
     /// reserved-node set as [`crate::util::HeadReservation::compute`],
-    /// via a selection over the cached free times instead of a full sort
+    /// via a selection over the slots' free times instead of a full sort
     /// (the `(free time, id)` key is a unique total order, so the k
     /// smallest — and the k-th itself — are identical).
     pub fn compute_reservation(&mut self, ctx: &SchedContext<'_>, k: usize) {
         assert!(k >= 1, "reservation for a zero-node head");
-        // `restricted` memo entries were computed against the previous
-        // reservation; a different head width changes the reserved set,
-        // so they (conservatively, the whole memo) must go.
-        if k != self.memo_resv_k {
-            self.failed_shared.clear();
-            self.memo_resv_k = k;
-        }
         self.reserved.fill(false);
-        if self.free_raw.len() < k {
+        if self.up_count < k {
             self.shadow = f64::INFINITY;
             self.reserved_idle = 0;
             self.eligible_unreserved = self.eligible_count;
+            self.unreserved_partials = self.partials.len();
             return;
         }
         self.sort_buf.clear();
-        self.sort_buf
-            .extend(self.free_raw.iter().map(|&(n, raw)| (n, raw.max(ctx.now))));
+        self.sort_buf.extend(
+            self.slots
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| s.up)
+                .map(|(i, s)| (NodeId(i as u32), s.free_raw.max(ctx.now))),
+        );
         self.sort_buf
             .select_nth_unstable_by(k - 1, |a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         self.shadow = self.sort_buf[k - 1].1;
@@ -270,11 +338,14 @@ impl Planner {
             .idle_nodes()
             .filter(|n| self.reserved[n.index()])
             .count();
-        self.eligible_unreserved = self
-            .partials
-            .iter()
-            .filter(|p| p.eligible && !self.reserved[p.node.index()])
-            .count();
+        self.eligible_unreserved = 0;
+        self.unreserved_partials = 0;
+        for p in &self.partials {
+            if !self.reserved[p.index()] {
+                self.unreserved_partials += 1;
+                self.eligible_unreserved += self.slots[p.index()].eligible as usize;
+            }
+        }
     }
 
     /// [`crate::util::pick_exclusive`] with `allowed = !restricted-or-
@@ -312,10 +383,9 @@ impl Planner {
         Some(picked)
     }
 
-    /// [`crate::util::pick_shared`] against the cached state. Failed
-    /// attempts are memoized under a key that exactly determines the
-    /// outcome within one pass, and attempts that provably cannot
-    /// assemble `k` nodes exit before evaluating anything.
+    /// [`crate::util::pick_shared`] against the cached state. Attempts
+    /// that provably cannot assemble `k` nodes exit before walking
+    /// anything; the rest walk the app's candidate list.
     pub fn pick_shared(
         &mut self,
         ctx: &SchedContext<'_>,
@@ -328,44 +398,28 @@ impl Planner {
         }
         let k = job.nodes as usize;
         let idle_ok = u64::from(job.mem_per_node_mib) <= ctx.cluster.spec().node.mem_mib;
-        // Rank of the memory requirement among partial nodes: how many
-        // pass the memory check. Within one pass this rank pins the
-        // exact subset of partial nodes the evaluation would consider,
-        // so together with the other fields it determines the outcome.
-        let t = self.partials.len()
+        // Upper bound on assemblable nodes — never below the true count,
+        // so the exit is exact: eligible partial nodes passing the
+        // reservation and memory filters, capped by the app's list
+        // length, plus allowed idle nodes.
+        let fit_mem = self.partials.len()
             - self
                 .mem_sorted
                 .partition_point(|&m| m < u64::from(job.mem_per_node_mib));
-        let wt = pairing
-            .duration_match
-            .map_or(0u64, |_| job.walltime_estimate.to_bits());
-        let key = job.app.index() as u128
-            | (k as u128) << 8
-            | (restricted as u128) << 40
-            | (idle_ok as u128) << 41
-            | (t as u128) << 42
-            | (wt as u128) << 64;
-        if self.failed_shared.contains(&key) {
-            if let Some(tm) = ctx.telemetry {
-                tm.memo_hits.inc();
-            }
-            return None;
-        }
-        // Exact upper bound on assemblable nodes: eligible partial
-        // nodes passing the reservation and memory filters, plus
-        // allowed idle nodes.
         let avail_partials = if restricted {
             self.eligible_unreserved
         } else {
             self.eligible_count
         }
-        .min(t);
+        .min(fit_mem);
         let avail_idle = if idle_ok {
             ctx.cluster.idle_count() - if restricted { self.reserved_idle } else { 0 }
         } else {
             0
         };
-        if k > avail_partials + avail_idle {
+        if k > avail_partials + avail_idle
+            || k > self.list(ctx, pairing, job.app).min(avail_partials) + avail_idle
+        {
             if let Some(tm) = ctx.telemetry {
                 tm.bound_exits.inc();
             }
@@ -377,19 +431,67 @@ impl Planner {
         };
         match net_gain {
             Some(net_gain) if net_gain > pairing.net_gain_floor => Some(self.nodes_buf.clone()),
-            _ => {
-                self.failed_shared.insert(key);
-                None
-            }
+            _ => None,
         }
     }
 
-    /// The body of [`crate::util::plan_shared`] over the cached partials:
-    /// same filters in the same order (including the points that count
-    /// pairing queries and hits, summed here and added once per call),
-    /// same sort key, same evaluation fold order — so scores, rates, and
-    /// the net gain come out bit-identical. Leaves the chosen nodes in
+    /// Brings `app`'s candidate list up to the current generation and
+    /// returns its length: the eligible partial nodes whose resident
+    /// stack accepts `app`, with the reference's score (the minimum
+    /// pairwise score over the stack), sorted by (score desc, node id) —
+    /// a unique total order, so the unstable sort is deterministic.
+    fn list(&mut self, ctx: &SchedContext<'_>, pairing: &Pairing, app: AppId) -> usize {
+        if app.index() >= self.lists.len() {
+            self.lists
+                .resize_with(app.index() + 1, PairingList::default);
+        }
+        if self.lists[app.index()].gen != self.list_gen {
+            let mut entries = std::mem::take(&mut self.lists[app.index()].entries);
+            entries.clear();
+            for &node in &self.partials {
+                if !self.slots[node.index()].eligible {
+                    continue;
+                }
+                let res = stack(&self.residents, &self.slots, self.smt, node);
+                let mut score = f64::INFINITY;
+                for r in res {
+                    score = score.min(self.table.score(pairing, app, r.app));
+                }
+                let ok = match res {
+                    [r] => self.table.allows(pairing, app, r.app),
+                    _ => {
+                        self.apps_buf.clear();
+                        self.apps_buf.extend(res.iter().map(|r| r.app));
+                        self.table.allows_stack(pairing, app, &self.apps_buf)
+                    }
+                };
+                if ok {
+                    entries.push((node, score));
+                }
+            }
+            entries.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            self.lists[app.index()] = PairingList {
+                gen: self.list_gen,
+                entries,
+            };
+            if let Some(t) = ctx.telemetry {
+                t.pairing_list_builds.inc();
+            }
+        }
+        self.lists[app.index()].entries.len()
+    }
+
+    /// The body of [`crate::util::plan_shared`] over the app's candidate
+    /// list: the reference's filters, applied to nodes already in the
+    /// reference's sort order, pick the same first `k` partial nodes, and
+    /// the rate/loss fold runs over them in that order — so rates and the
+    /// net gain come out bit-identical. Leaves the chosen nodes in
     /// `nodes_buf` and returns the net gain.
+    ///
+    /// With telemetry attached the walk goes on past the `k`-th node to
+    /// count every node passing the filters as a pairing hit, the count
+    /// the reference reports; the queries (unreserved partial nodes) are
+    /// known without walking.
     fn plan_and_eval(
         &mut self,
         ctx: &SchedContext<'_>,
@@ -399,24 +501,18 @@ impl Planner {
         k: usize,
         idle_ok: bool,
     ) -> Option<f64> {
-        self.cand_buf.clear();
         let cand_bound = job.walltime_estimate * ctx.shared_grace.max(1.0);
-        let mut queries = 0u64;
-        'nodes: for (i, info) in self.partials.iter().enumerate() {
-            if restricted && self.reserved[info.node.index()] {
+        let mut hits = 0u64;
+        self.nodes_buf.clear();
+        'nodes: for &(node, _) in &self.lists[job.app.index()].entries {
+            if restricted && self.reserved[node.index()] {
                 continue;
             }
-            queries += 1;
-            if info.mem_free < u64::from(job.mem_per_node_mib) {
+            if self.slots[node.index()].mem_free < u64::from(job.mem_per_node_mib) {
                 continue;
             }
-            if !info.eligible {
-                continue;
-            }
-            let res =
-                &self.residents[info.res_start as usize..(info.res_start + info.res_len) as usize];
             if let Some(theta) = pairing.duration_match {
-                for r in res {
+                for r in stack(&self.residents, &self.slots, self.smt, node) {
                     let remaining = (r.est_end - ctx.now).max(0.0);
                     let overlap = remaining.min(cand_bound) / remaining.max(cand_bound).max(1e-9);
                     if overlap < theta {
@@ -424,36 +520,22 @@ impl Planner {
                     }
                 }
             }
-            let mut score = f64::INFINITY;
-            for r in res {
-                score = score.min(self.table.score(pairing, job.app, r.app));
+            hits += 1;
+            if self.nodes_buf.len() < k {
+                self.nodes_buf.push(node);
+            } else if ctx.telemetry.is_none() {
+                break;
             }
-            let ok = match res {
-                [r] => self.table.allows(pairing, job.app, r.app),
-                _ => {
-                    self.apps_buf.clear();
-                    self.apps_buf.extend(res.iter().map(|r| r.app));
-                    self.table.allows_stack(pairing, job.app, &self.apps_buf)
-                }
-            };
-            if !ok {
-                continue;
-            }
-            self.cand_buf.push((i as u32, info.node, score));
         }
         if let Some(t) = ctx.telemetry {
-            // Every accepted node is a hit.
-            t.pairing_queries.add(queries);
-            t.pairing_hits.add(self.cand_buf.len() as u64);
+            t.pairing_queries.add(if restricted {
+                self.unreserved_partials
+            } else {
+                self.partials.len()
+            } as u64);
+            t.pairing_hits.add(hits);
         }
-        // Best predicted pairs first, ties by node id — a unique total
-        // order, so the unstable sort is deterministic.
-        self.cand_buf
-            .sort_unstable_by(|a, b| b.2.total_cmp(&a.2).then(a.1.cmp(&b.1)));
-        let chosen = self.cand_buf.len().min(k);
-        self.nodes_buf.clear();
-        self.nodes_buf
-            .extend(self.cand_buf[..chosen].iter().map(|c| c.1));
+        let chosen = self.nodes_buf.len();
         if chosen < k && idle_ok {
             let need = k - chosen;
             if restricted {
@@ -474,10 +556,8 @@ impl Planner {
         // contribute to the rates and losses.
         let mut candidate_rate = 1.0f64;
         self.partner_buf.clear();
-        for &(i, _, _) in &self.cand_buf[..chosen] {
-            let info = &self.partials[i as usize];
-            let res =
-                &self.residents[info.res_start as usize..(info.res_start + info.res_len) as usize];
+        for &node in &self.nodes_buf[..chosen] {
+            let res = stack(&self.residents, &self.slots, self.smt, node);
             match res {
                 [r] => {
                     let (cr, rr) = self.table.stack_pair(pairing, job.app, r.app);
@@ -502,6 +582,123 @@ impl Planner {
             .sum();
         Some(k as f64 * candidate_rate - losses)
     }
+}
+
+impl Planner {
+    /// Holds the journal-refreshed state to a from-scratch rebuild — node
+    /// slots and residents, the partial list, the eligible count, the
+    /// memory ranks — and the candidate list of every app the planner
+    /// holds a current list for or `ctx` queues to a brute-force
+    /// filter-and-sort over the cluster's partial nodes, using the
+    /// reference [`Pairing`] answers. Returns `Ok(false)` without
+    /// checking when the planner has not been refreshed to `ctx`'s stamp.
+    ///
+    /// Brings the lists of queued apps up to date, which changes no
+    /// later decision: a list is a function of the refreshed state. The
+    /// check's own work is not counted in `ctx`'s telemetry.
+    pub(crate) fn check_against_rebuild(
+        &mut self,
+        ctx: &SchedContext<'_>,
+        pairing: &Pairing,
+    ) -> Result<bool, String> {
+        if self.cache_key != Some(ctx.cluster.stamp()) {
+            return Ok(false);
+        }
+        let ctx = &SchedContext {
+            telemetry: None,
+            ..*ctx
+        };
+        let mut fresh = Planner::new(pairing);
+        fresh.refresh(ctx);
+        for (i, (mine, want)) in self.slots.iter().zip(&fresh.slots).enumerate() {
+            let node = NodeId(i as u32);
+            if mine != want
+                || stack(&self.residents, &self.slots, self.smt, node)
+                    != stack(&fresh.residents, &fresh.slots, fresh.smt, node)
+            {
+                return Err(format!(
+                    "slot of {node} diverged: {mine:?} vs rebuilt {want:?}"
+                ));
+            }
+        }
+        if self.slots.len() != fresh.slots.len()
+            || self.up_count != fresh.up_count
+            || self.partials != fresh.partials
+            || self.eligible_count != fresh.eligible_count
+            || self.mem_sorted != fresh.mem_sorted
+        {
+            return Err(format!(
+                "partial summary diverged: {:?}/{}/{} vs rebuilt {:?}/{}/{}",
+                self.partials,
+                self.eligible_count,
+                self.up_count,
+                fresh.partials,
+                fresh.eligible_count,
+                fresh.up_count
+            ));
+        }
+        let mut apps: Vec<AppId> = (0..self.lists.len())
+            .filter(|&i| self.lists[i].gen == self.list_gen)
+            .map(|i| AppId(i as u8))
+            .chain(ctx.queue.iter().map(|j| j.app))
+            .collect();
+        apps.sort_unstable();
+        apps.dedup();
+        for app in apps {
+            self.list(ctx, pairing, app);
+            let want = brute_force_list(ctx, pairing, app);
+            let mine: Vec<(NodeId, u64)> = self.lists[app.index()]
+                .entries
+                .iter()
+                .map(|&(n, s)| (n, s.to_bits()))
+                .collect();
+            if mine != want {
+                return Err(format!(
+                    "list of app {} diverged: {mine:?} vs brute force {want:?}",
+                    app.index()
+                ));
+            }
+        }
+        Ok(true)
+    }
+}
+
+/// `app`'s candidate list straight from the cluster, the running map and
+/// the reference pairing answers: every partial node whose residents are
+/// all running and share-eligible and whose stack accepts `app`, as
+/// `(node, score bits)` sorted by (score desc, node id).
+fn brute_force_list(ctx: &SchedContext<'_>, pairing: &Pairing, app: AppId) -> Vec<(NodeId, u64)> {
+    let mut out: Vec<(NodeId, f64)> = Vec::new();
+    'nodes: for n in ctx.cluster.partial_nodes() {
+        let mut apps = Vec::new();
+        for j in ctx.cluster.nodes()[n.index()].occupants() {
+            match ctx.running.get(&j) {
+                Some(r) if r.share_eligible => apps.push(r.app),
+                _ => continue 'nodes,
+            }
+        }
+        if pairing.allows_stack(app, &apps) {
+            let score = apps
+                .iter()
+                .map(|&a| pairing.score(app, a))
+                .fold(f64::INFINITY, f64::min);
+            out.push((n, score));
+        }
+    }
+    out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    out.into_iter().map(|(n, s)| (n, s.to_bits())).collect()
+}
+
+/// The residents stored for `node`: `res_len` of them from `node × smt`.
+#[inline]
+fn stack<'a>(
+    residents: &'a [Resident],
+    slots: &[NodeSlot],
+    smt: usize,
+    node: NodeId,
+) -> &'a [Resident] {
+    let base = node.index() * smt;
+    &residents[base..base + slots[node.index()].res_len as usize]
 }
 
 /// Tracks each distinct partner once at its worst predicted rate, in
@@ -888,7 +1085,7 @@ impl ReservationTimeline {
 }
 
 #[cfg(test)]
-mod memo_tests {
+mod list_tests {
     use super::*;
     use crate::pairing::{Pairing, PairingPolicy};
     use crate::testkit::oracle;
@@ -900,160 +1097,184 @@ mod memo_tests {
     struct Rig {
         cluster: Cluster,
         running: BTreeMap<JobId, RunningSummary>,
-        queue: Vec<JobSpec>,
     }
 
-    /// Two shared AMG nodes plus an incompatible miniFE candidate: every
-    /// shared-placement attempt fails and lands in the memo.
-    fn rig() -> Rig {
-        let catalog = AppCatalog::trinity();
-        let amg = catalog.by_name("AMG").unwrap().id;
-        let fe = catalog.by_name("miniFE").unwrap().id;
-        let mut cluster = Cluster::new(ClusterSpec::new(2, NodeSpec::tiny()));
-        cluster
-            .allocate_shared(JobId(1), &[NodeId(0), NodeId(1)], 64)
-            .unwrap();
+    fn app(name: &str) -> AppId {
+        AppCatalog::trinity().by_name(name).unwrap().id
+    }
+
+    /// `nodes` tiny nodes; each `(job, app, node ids, kill_at)` holds one
+    /// shared lane on its nodes.
+    fn rig(nodes: u32, residents: &[(u64, &str, &[u32], f64)]) -> Rig {
+        let mut cluster = Cluster::new(ClusterSpec::new(nodes, NodeSpec::tiny()));
         let mut running = BTreeMap::new();
-        running.insert(
-            JobId(1),
-            RunningSummary {
-                job: JobId(1),
-                app: amg,
-                nodes: 2,
-                requested_nodes: 2,
-                malleable: Default::default(),
-                start: 0.0,
-                walltime_estimate: 1_000.0,
-                kill_at: 1_000.0,
-                share_eligible: true,
-                mode: ShareMode::Shared,
-            },
-        );
-        let queue = vec![JobSpec {
+        for &(id, name, on, kill_at) in residents {
+            let ids: Vec<NodeId> = on.iter().copied().map(NodeId).collect();
+            cluster.allocate_shared(JobId(id), &ids, 64).unwrap();
+            running.insert(
+                JobId(id),
+                RunningSummary {
+                    job: JobId(id),
+                    app: app(name),
+                    nodes: on.len() as u32,
+                    requested_nodes: on.len() as u32,
+                    malleable: Default::default(),
+                    start: 0.0,
+                    walltime_estimate: kill_at,
+                    kill_at,
+                    share_eligible: true,
+                    mode: ShareMode::Shared,
+                },
+            );
+        }
+        Rig { cluster, running }
+    }
+
+    fn candidate(id: u64, name: &str, nodes: u32, walltime: f64) -> JobSpec {
+        JobSpec {
             malleable: Default::default(),
-            id: JobId(5),
-            app: fe,
-            nodes: 2,
+            id: JobId(id),
+            app: app(name),
+            nodes,
             submit: 0.0,
-            runtime_exclusive: 100.0,
-            walltime_estimate: 200.0,
+            runtime_exclusive: walltime / 2.0,
+            walltime_estimate: walltime,
             mem_per_node_mib: 64,
             share_eligible: true,
             user: 0,
-        }];
-        Rig {
-            cluster,
-            running,
-            queue,
         }
     }
 
     impl Rig {
-        fn ctx(&self, now: f64) -> SchedContext<'_> {
+        fn ctx<'a>(
+            &'a self,
+            now: f64,
+            queue: &'a [JobSpec],
+            telemetry: Option<&'a nodeshare_engine::SchedTelemetry>,
+        ) -> SchedContext<'a> {
             SchedContext {
                 now,
-                queue: &self.queue,
+                queue,
                 cluster: &self.cluster,
                 running: &self.running,
                 shared_grace: 1.5,
                 completed: &[],
-                telemetry: None,
+                telemetry,
             }
         }
     }
 
-    #[test]
-    fn failure_memo_survives_passes_within_one_era() {
-        let rig = rig();
-        let pairing = Pairing::new(PairingPolicy::default_threshold(), oracle());
-        let mut planner = Planner::new(&pairing);
-        let ctx = rig.ctx(10.0);
-        planner.begin_pass(&ctx);
-        assert!(planner
-            .pick_shared(&ctx, &rig.queue[0], &pairing, false)
-            .is_none());
-        assert_eq!(planner.memo_len(), 1);
-        // Same stamp, same instant: the miss carries across the pass.
-        planner.begin_pass(&ctx);
-        assert_eq!(planner.memo_len(), 1, "era unchanged, memo must survive");
-        assert!(planner
-            .pick_shared(&ctx, &rig.queue[0], &pairing, false)
-            .is_none());
-        assert_eq!(planner.memo_len(), 1);
+    fn entries(planner: &Planner, app: AppId) -> Vec<(NodeId, u64)> {
+        planner.lists[app.index()]
+            .entries
+            .iter()
+            .map(|&(n, s)| (n, s.to_bits()))
+            .collect()
     }
 
     #[test]
-    fn telemetry_does_not_switch_off_the_memo() {
-        // The same two passes of two attempts each, plain and telemetered:
-        // both runs memoize the first failure and answer the other three
-        // attempts from the memo.
-        let rig = rig();
+    fn telemetry_does_not_change_lists_or_picks() {
+        // Four partial nodes under three resident apps; candidates of
+        // several apps and widths, each asked twice in each of two passes.
+        let rig = rig(
+            6,
+            &[
+                (1, "AMG", &[0, 1], 500.0),
+                (2, "miniDFT", &[2], 400.0),
+                (3, "miniFE", &[3], 300.0),
+            ],
+        );
+        let queue = vec![
+            candidate(10, "miniDFT", 1, 100.0),
+            candidate(11, "AMG", 2, 100.0),
+            candidate(12, "miniFE", 3, 100.0),
+            candidate(13, "miniDFT", 4, 100.0),
+        ];
         let pairing = Pairing::new(PairingPolicy::default_threshold(), oracle());
         let tele = SimTelemetry::new(60.0);
-        let mut memo_lens = Vec::new();
+        let mut runs = Vec::new();
         for telemetry in [None, Some(&tele.sched)] {
             let mut planner = Planner::new(&pairing);
-            let ctx = SchedContext {
-                telemetry,
-                ..rig.ctx(10.0)
-            };
+            let ctx = rig.ctx(10.0, &queue, telemetry);
+            let mut picks = Vec::new();
             for _ in 0..2 {
                 planner.begin_pass(&ctx);
-                for _ in 0..2 {
-                    assert!(planner
-                        .pick_shared(&ctx, &rig.queue[0], &pairing, false)
-                        .is_none());
+                for job in &queue {
+                    for _ in 0..2 {
+                        picks.push(planner.pick_shared(&ctx, job, &pairing, false));
+                    }
                 }
             }
-            memo_lens.push(planner.memo_len());
+            let lists: Vec<_> = queue.iter().map(|j| entries(&planner, j.app)).collect();
+            runs.push((picks, lists));
         }
-        assert_eq!(
-            memo_lens,
-            [1, 1],
-            "telemetry must not change what is memoized"
+        assert_eq!(runs[0], runs[1], "telemetry must not change lists or picks");
+        assert!(
+            runs[0].0.iter().any(Option::is_some),
+            "the rig must place something"
         );
-        assert_eq!(tele.sched.memo_hits.get(), 3);
-        assert_eq!(tele.sched.pairing_evaluations.get(), 1);
+        // One build per distinct app, reused by every later attempt.
+        assert_eq!(tele.sched.pairing_list_builds.get(), 3);
+        assert_eq!(tele.sched.planner_nodes_refreshed.get(), 6);
     }
 
     #[test]
-    fn advancing_now_rolls_the_memo_era() {
-        let rig = rig();
+    fn a_new_head_width_refilters_the_list() {
+        // Both nodes host AMG and free up at 500 and 600. A 1-node head
+        // reserves node 0 only; a 2-node head reserves both.
+        let rig = rig(2, &[(1, "AMG", &[0], 500.0), (2, "AMG", &[1], 600.0)]);
+        let queue = vec![candidate(10, "miniDFT", 1, 100.0)];
         let pairing = Pairing::new(PairingPolicy::default_threshold(), oracle());
         let mut planner = Planner::new(&pairing);
-        let ctx = rig.ctx(10.0);
-        planner.begin_pass(&ctx);
-        assert!(planner
-            .pick_shared(&ctx, &rig.queue[0], &pairing, false)
-            .is_none());
-        assert_eq!(planner.memo_len(), 1);
-        let later = rig.ctx(20.0);
-        planner.begin_pass(&later);
-        assert_eq!(planner.memo_len(), 0, "new instant, memo must clear");
-    }
-
-    #[test]
-    fn reservation_width_change_clears_restricted_entries() {
-        // 1-node candidate: one eligible unreserved partial remains, so
-        // the attempt passes the upper-bound early exit, evaluates, and
-        // fails on incompatibility — landing in the memo.
-        let mut rig = rig();
-        rig.queue[0].nodes = 1;
-        let pairing = Pairing::new(PairingPolicy::default_threshold(), oracle());
-        let mut planner = Planner::new(&pairing);
-        let ctx = rig.ctx(10.0);
+        let ctx = rig.ctx(10.0, &queue, None);
         planner.begin_pass(&ctx);
         planner.compute_reservation(&ctx, 1);
-        assert!(planner
-            .pick_shared(&ctx, &rig.queue[0], &pairing, true)
-            .is_none());
-        assert_eq!(planner.memo_len(), 1);
-        // Same width: entries stay. New width: reservation set differs,
-        // so the memo goes.
-        planner.compute_reservation(&ctx, 1);
-        assert_eq!(planner.memo_len(), 1);
+        assert_eq!(
+            planner.pick_shared(&ctx, &queue[0], &pairing, true),
+            Some(vec![NodeId(1)])
+        );
         planner.compute_reservation(&ctx, 2);
-        assert_eq!(planner.memo_len(), 0);
+        assert_eq!(
+            planner.pick_shared(&ctx, &queue[0], &pairing, true),
+            None,
+            "a wider head reserves node 1 too"
+        );
+        planner.compute_reservation(&ctx, 1);
+        assert_eq!(
+            planner.pick_shared(&ctx, &queue[0], &pairing, true),
+            Some(vec![NodeId(1)])
+        );
+        // Unrestricted, the best-scored node comes first.
+        assert!(planner
+            .pick_shared(&ctx, &queue[0], &pairing, false)
+            .is_some());
+    }
+
+    #[test]
+    fn an_unchanged_stamp_reuses_the_lists_and_filters_by_now() {
+        // The resident runs until 300. A 100 s candidate (150 s with the
+        // grace) overlaps it fully at t=150, but not at t=10 (150 / 290 <
+        // 0.6) or at t=290 (remaining 10).
+        let rig = rig(1, &[(1, "AMG", &[0], 300.0)]);
+        let queue = vec![candidate(10, "miniDFT", 1, 100.0)];
+        let pairing =
+            Pairing::new(PairingPolicy::default_threshold(), oracle()).with_duration_match(0.6);
+        let tele = SimTelemetry::new(60.0);
+        let mut planner = Planner::new(&pairing);
+        let mut picks = Vec::new();
+        for now in [150.0, 10.0, 290.0] {
+            let ctx = rig.ctx(now, &queue, Some(&tele.sched));
+            planner.begin_pass(&ctx);
+            picks.push(planner.pick_shared(&ctx, &queue[0], &pairing, false));
+        }
+        assert_eq!(picks, [Some(vec![NodeId(0)]), None, None]);
+        assert_eq!(
+            tele.sched.pairing_list_builds.get(),
+            1,
+            "same stamp: the list carries across instants"
+        );
+        assert_eq!(tele.sched.planner_nodes_refreshed.get(), 1);
+        assert_eq!(entries(&planner, queue[0].app).len(), 1);
     }
 }
 

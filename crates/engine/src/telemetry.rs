@@ -13,10 +13,11 @@
 //! Telemetry is strictly opt-in: [`crate::sim::run`] carries no telemetry
 //! and pays only an `Option` check per instrumentation site, so the
 //! benchmark hot path is unchanged when it is off. When it is on, the
-//! schedulers take the same code path as a plain run — memo, bound exits
-//! and all — and the counters report what that path did. The measured
-//! cost (`telemetry.overhead_x` in `perfbench/`, seed 3) is 1.04–1.09×
-//! across the benchmark workloads; see the README "Telemetry" section.
+//! schedulers take the same code path as a plain run — candidate lists,
+//! bound exits and all — and the counters report what that path did. The
+//! measured cost (`telemetry.overhead_x` in `perfbench/`, seed 7) is
+//! 1.07–1.12× across the benchmark workloads; see the README "Telemetry"
+//! section.
 
 use nodeshare_cluster::Cluster;
 use nodeshare_obs::{exponential_buckets, Counter, Gauge, Histogram, MetricsRegistry, SpanTimer};
@@ -43,12 +44,15 @@ pub struct SchedTelemetry {
     pub pairing_queries: Counter,
     /// Pairing queries that accepted the candidate node.
     pub pairing_hits: Counter,
-    /// Shared-placement evaluations: whole scans of the partial nodes for
-    /// one candidate. Every [`PAIRING_SPAN_SAMPLE`]-th is timed.
+    /// Shared-placement evaluations: one candidate's walk of its app's
+    /// candidate list (the reference scans every partial node). Every
+    /// [`PAIRING_SPAN_SAMPLE`]-th is timed.
     pub pairing_evaluations: Counter,
-    /// Shared-placement attempts answered by the per-pass failure memo
-    /// without evaluating anything.
-    pub memo_hits: Counter,
+    /// Planner node slots re-derived after cluster mutations (a full
+    /// rebuild counts every node).
+    pub planner_nodes_refreshed: Counter,
+    /// Per-app pairing candidate lists (re)built by the planner.
+    pub pairing_list_builds: Counter,
     /// Shared-placement attempts rejected by the exact upper bound on
     /// assemblable nodes without evaluating anything.
     pub bound_exits: Counter,
@@ -126,11 +130,15 @@ impl SchedTelemetry {
             ),
             pairing_evaluations: registry.counter(
                 "sched_pairing_evaluations_total",
-                "Shared-placement evaluations (one scan of the partial nodes per candidate).",
+                "Shared-placement evaluations (one candidate-list walk per candidate).",
             ),
-            memo_hits: registry.counter(
-                "sched_shared_memo_hits_total",
-                "Shared-placement attempts answered by the per-pass failure memo.",
+            planner_nodes_refreshed: registry.counter(
+                "sched_planner_nodes_refreshed_total",
+                "Planner node slots re-derived after cluster mutations.",
+            ),
+            pairing_list_builds: registry.counter(
+                "sched_pairing_list_builds_total",
+                "Per-app pairing candidate lists built by the planner.",
             ),
             bound_exits: registry.counter(
                 "sched_shared_bound_exits_total",
@@ -638,7 +646,8 @@ mod tests {
             "# TYPE sim_jobs_started_total counter",
             "# TYPE sched_pairing_queries_total counter",
             "# TYPE sched_pairing_evaluations_total counter",
-            "# TYPE sched_shared_memo_hits_total counter",
+            "# TYPE sched_planner_nodes_refreshed_total counter",
+            "# TYPE sched_pairing_list_builds_total counter",
             "# TYPE sched_shared_bound_exits_total counter",
             "# TYPE sched_backfill_early_exit_passes_total counter",
             "# TYPE sched_backfill_candidates_skipped_total counter",

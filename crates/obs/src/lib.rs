@@ -9,7 +9,7 @@
 //! * [`logger`] — a leveled structured logger (`error`..`trace`,
 //!   `key=value` fields) with per-target filtering via `NODESHARE_LOG`
 //!   and writer injection for tests,
-//! * [`span`] — RAII span timers feeding wall-clock histograms
+//! * [`span`](mod@span) — RAII span timers feeding wall-clock histograms
 //!   (`span!(hist)`),
 //! * [`prometheus`] — text-exposition rendering (`# HELP`/`# TYPE`,
 //!   labels, cumulative histogram buckets).
